@@ -36,19 +36,16 @@ from .generator import (
     RiccatiSolution,
     SpecError,
     antiderivative,
-    calibrate_offset,
     constant_w_effective,
     derive,
     effective_potential,
     riccati_F,
-    spec_from_config,
     spec_to_config,
 )
 from .operators import (
     DiscreteOperator,
     Grid,
     GridMismatchError,
-    adjoint,
     build_eta,
     build_hamiltonian,
     compose,
@@ -59,5 +56,3 @@ from .operators import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

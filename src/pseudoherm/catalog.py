@@ -19,8 +19,6 @@ from .operators import Grid
 
 PERIODIC_LEVEL_CUTOFF = 8
 
-MODEL_NAMES = ("scarf2", "periodic", "morse", "constant_w")
-
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -34,7 +32,6 @@ class CatalogEntry:
     continuum_threshold: float = None
     solvable: bool = True
     constant_model: ConstantWModel = None
-    cross_checks: dict = field(default_factory=dict)
     notes: str = ""
 
 
@@ -92,105 +89,110 @@ def periodic_effective_closed_form(x):
     return complex(value) if value.ndim == 0 else value
 
 
-def _require(env, name, model):
-    if name not in env:
-        raise SpecError("model '%s' requires parameter '%s'" % (model, name))
-    return float(env[name])
-
-
-def get(name, env=None):
-    """Look up a catalog entry; env binds the model's parameters."""
-    env = dict(env or {})
-    if name == "scarf2":
-        A = _require(env, "A", name)
-        spec = GeneratorSpec(
+def _scarf2(A, **_):
+    return dict(
+        spec=GeneratorSpec(
             W="-A*sinh(x)/cosh(x)^2",
             antiderivative="A/cosh(x)",
             alpha=0.0,
             beta=-0.25,
             env={"A": A},
             check_interval=(-12.0, 12.0),
-        )
-        return CatalogEntry(
-            name=name,
-            spec=spec,
-            analytic_V=parse("-(3+A^2)/(4*cosh(x)^2)"),
-            analytic_levels=scarf_levels(A),
-            grid=Grid(-12.0, 12.0, 2000),
-            scarf_s_t=scarf_parameters(A),
-            continuum_threshold=0.0,
-            notes="hyperbolic model, V even and W odd; levels from the"
-            " bound-state ladder below the continuum at 0",
-        )
-    if name == "periodic":
-        spec = GeneratorSpec(
+        ),
+        analytic_V=parse("-(3+A^2)/(4*cosh(x)^2)"),
+        analytic_levels=scarf_levels(A),
+        grid=Grid(-12.0, 12.0, 2000),
+        scarf_s_t=scarf_parameters(A),
+        continuum_threshold=0.0,
+        notes="hyperbolic model, V even and W odd; levels from the"
+        " bound-state ladder below the continuum at 0",
+    )
+
+
+def _periodic(**_):
+    return dict(
+        spec=GeneratorSpec(
             W="4*sin(2*x)/(3*(cos(x)^2-4/3)^2)",
             antiderivative="4/(3*(cos(x)^2-4/3))",
             alpha=0.0,
             beta=1.0,
             env={},
             check_interval=(-math.pi, math.pi),
-        )
-        levels = tuple(
+        ),
+        analytic_V=parse("(-30*cos(x)^2+24)/(9*(cos(x)^2-4/3)^2)"),
+        analytic_levels=tuple(
             n * n / 4.0 for n in range(1, PERIODIC_LEVEL_CUTOFF + 1) if n != 2
-        )
-        return CatalogEntry(
-            name=name,
-            spec=spec,
-            analytic_V=parse("(-30*cos(x)^2+24)/(9*(cos(x)^2-4/3)^2)"),
-            analytic_levels=levels,
-            grid=Grid(-math.pi, math.pi, 2000),
-            eigenfunctions={
-                n: functools.partial(periodic_eigenfunction, n)
-                for n in range(1, PERIODIC_LEVEL_CUTOFF + 1)
-            },
-            cross_checks={"effective_potential": periodic_effective_closed_form},
-            notes="levels n^2/4 with the n=2 state missing (its closed form"
-            " cancels to zero); box domain fixed at (-pi, pi)",
-        )
-    if name == "morse":
-        xi = _require(env, "xi", name)
-        spec = GeneratorSpec(
+        ),
+        grid=Grid(-math.pi, math.pi, 2000),
+        eigenfunctions={
+            n: functools.partial(periodic_eigenfunction, n)
+            for n in range(1, PERIODIC_LEVEL_CUTOFF + 1)
+        },
+        notes="levels n^2/4 with the n=2 state missing (its closed form"
+        " cancels to zero); box domain fixed at (-pi, pi)",
+    )
+
+
+def _morse(xi, **_):
+    return dict(
+        spec=GeneratorSpec(
             W="-xi*exp(-x)",
             antiderivative="xi*exp(-x)",
             alpha=0.0,
             beta=-0.25,
             env={"xi": xi},
             check_interval=(-2.0, 14.0),
-        )
-        return CatalogEntry(
-            name=name,
-            spec=spec,
-            analytic_V=parse("-xi^2*exp(-2*x)/4"),
-            analytic_levels=(-0.25,),
-            grid=Grid(-2.0, 14.0, 2000),
-            eigenfunctions={0: morse_eigenfunction(xi)},
-            continuum_threshold=0.0,
-            notes="exponential model, not PT symmetric; single analytic"
-            " level at -1/4 with eigenfunction scale z = i*xi*exp(-x)",
-        )
-    if name == "constant_w":
-        w0 = _require(env, "W0", name)
-        c0 = _require(env, "C0", name)
-        model = ConstantWModel(
-            W0=w0,
-            C0=c0,
-            alpha=float(env.get("alpha", 0.0)),
-            beta=float(env.get("beta", 0.0)),
-        )
-        spec = GeneratorSpec(W="W0", env={"W0": w0})
-        return CatalogEntry(
-            name=name,
-            spec=spec,
-            analytic_V=None,
-            analytic_levels=(),
-            grid=Grid(-20.0, 20.0, 2000),
-            solvable=False,
-            constant_model=model,
-            notes="degenerate constant generator; the real part of the"
-            " effective potential is unbounded below, so no bound states"
-            " exist and no spectrum is asserted",
-        )
-    raise SpecError(
-        "unknown model '%s'; available: %s" % (name, ", ".join(MODEL_NAMES))
+        ),
+        analytic_V=parse("-xi^2*exp(-2*x)/4"),
+        analytic_levels=(-0.25,),
+        grid=Grid(-2.0, 14.0, 2000),
+        eigenfunctions={0: morse_eigenfunction(xi)},
+        continuum_threshold=0.0,
+        notes="exponential model, not PT symmetric; single analytic"
+        " level at -1/4 with eigenfunction scale z = i*xi*exp(-x)",
     )
+
+
+def _constant_w(W0, C0, alpha=0.0, beta=0.0, **_):
+    return dict(
+        spec=GeneratorSpec(W="W0", env={"W0": W0}),
+        analytic_V=None,
+        analytic_levels=(),
+        grid=Grid(-20.0, 20.0, 2000),
+        solvable=False,
+        constant_model=ConstantWModel(
+            W0=W0, C0=C0, alpha=float(alpha), beta=float(beta)
+        ),
+        notes="degenerate constant generator; the real part of the"
+        " effective potential is unbounded below, so no bound states"
+        " exist and no spectrum is asserted",
+    )
+
+
+# name -> (required parameters, builder).  A builder takes the required
+# parameters positionally as floats and every other bound parameter by
+# keyword, ignoring the ones it does not use, and returns the entry's
+# fields other than its name.
+MODELS = {
+    "scarf2": (("A",), _scarf2),
+    "periodic": ((), _periodic),
+    "morse": (("xi",), _morse),
+    "constant_w": (("W0", "C0"), _constant_w),
+}
+
+MODEL_NAMES = tuple(MODELS)
+
+
+def get(name, env=None):
+    """Look up a catalog entry; env binds the model's parameters."""
+    env = dict(env or {})
+    if name not in MODELS:
+        raise SpecError(
+            "unknown model '%s'; available: %s" % (name, ", ".join(MODEL_NAMES))
+        )
+    required, build = MODELS[name]
+    for param in required:
+        if param not in env:
+            raise SpecError("model '%s' requires parameter '%s'" % (name, param))
+    values = [float(env.pop(param)) for param in required]
+    return CatalogEntry(name=name, **build(*values, **env))

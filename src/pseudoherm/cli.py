@@ -137,8 +137,15 @@ def _config_dict(cfg, spec=None, grid=None):
     return data
 
 
+def _check_csv(cfg, available):
+    """Refuse --format csv for a report that has no CSV form."""
+    if cfg.fmt == "csv" and not available:
+        raise SpecError("--format csv is not available for this report")
+
+
 def _emit(cfg, report, csv_rows=None):
-    if cfg.fmt == "csv" and csv_rows is not None:
+    _check_csv(cfg, csv_rows is not None)
+    if cfg.fmt == "csv":
         text = "\n".join(",".join(str(v) for v in row) for row in csv_rows) + "\n"
     else:
         text = json.dumps(report, indent=2) + "\n"
@@ -206,20 +213,25 @@ def _derive_constant(cfg, entry, grid):
     return EXIT_OK
 
 
-def cmd_verify(cfg):
-    if cfg.H_csv or cfg.eta_csv:
-        return _verify_external(cfg)
-    entry, spec, grid = _resolve(cfg)
-    model = derive(spec)
-    hamiltonian = operators.build_hamiltonian(model, grid)
-    eta = operators.build_eta(model, grid)
-    residuals = {
+def _residuals(hamiltonian, eta):
+    """The three residuals verify reports for one (H, eta) pair."""
+    return {
         "intertwining": operators.intertwining_residual(hamiltonian, eta),
         "eta_hermiticity": operators.hermiticity_residual(eta),
         "etaH_hermiticity": operators.hermiticity_residual(
             operators.compose(eta, hamiltonian, "etaH")
         ),
     }
+
+
+def cmd_verify(cfg):
+    if cfg.H_csv or cfg.eta_csv:
+        return _verify_external(cfg)
+    entry, spec, grid = _resolve(cfg)
+    model = derive(spec)
+    residuals = _residuals(
+        operators.build_hamiltonian(model, grid), operators.build_eta(model, grid)
+    )
     passed = all(value <= cfg.tol_intertwine for value in residuals.values())
     report = {
         "config": _config_dict(cfg, spec, grid),
@@ -236,13 +248,9 @@ def cmd_verify(cfg):
 def _verify_external(cfg):
     if not (cfg.H_csv and cfg.eta_csv):
         raise SpecError("external verification needs both --H-csv and --eta-csv")
-    h_matrix = operators.matrix_from_csv(cfg.H_csv)
-    eta_matrix = operators.matrix_from_csv(cfg.eta_csv)
-    residuals = {
-        "intertwining": operators.intertwining_residual(h_matrix, eta_matrix),
-        "eta_hermiticity": operators.hermiticity_residual(eta_matrix),
-        "etaH_hermiticity": operators.hermiticity_residual(eta_matrix @ h_matrix),
-    }
+    residuals = _residuals(
+        operators.matrix_from_csv(cfg.H_csv), operators.matrix_from_csv(cfg.eta_csv)
+    )
     report = {"config": _config_dict(cfg), "residuals": residuals}
     rows = [["check", "residual"]] + [[k, repr(v)] for k, v in residuals.items()]
     _emit(cfg, report, rows)
@@ -275,30 +283,29 @@ def _spectrum_once(cfg):
     if entry is not None and entry.continuum_threshold is not None:
         filtered = eigen.bound_state_filter(report, grid, entry.continuum_threshold)
     subject = filtered if filtered is not None else report
-    matched = False
+    matches = ()
     if entry is not None and entry.analytic_levels:
-        subject = eigen.with_matches(subject, entry.analytic_levels, cfg.tol_level)
-        matched = True
+        matches = tuple(
+            eigen.match_levels(subject, entry.analytic_levels, cfg.tol_level)
+        )
     data = {
         "config": _config_dict(cfg, spec, grid),
-        "spectrum": eigen.report_to_dict(
-            dataclasses.replace(
-                report, matches=subject.matches if matched else ()
-            )
-        ),
+        "spectrum": eigen.report_to_dict(dataclasses.replace(report, matches=matches)),
     }
     if filtered is not None:
-        data["bound_states"] = eigen.report_to_dict(subject)
+        data["bound_states"] = eigen.report_to_dict(
+            dataclasses.replace(filtered, matches=matches)
+        )
         data["continuum_threshold"] = entry.continuum_threshold
-    passed = True
-    if matched:
-        passed = all(m.matched for m in subject.matches)
+    passed = all(m.matched for m in matches)
+    if matches:
         data["all_levels_matched"] = passed
     return data, subject, passed
 
 
 def cmd_spectrum(cfg):
     sweeps = _sweep_values(cfg)
+    _check_csv(cfg, len(sweeps) == 1)
     reports = []
     all_passed = True
     for item in sweeps:
@@ -352,20 +359,14 @@ def cmd_catalog(cfg):
             report["s_t"] = list(entry.scarf_s_t)
         _emit(cfg, report)
     else:
-        names = []
-        for name in catalog.MODEL_NAMES:
-            names.append({"name": name, "required_params": _required_params(name)})
-        _emit(cfg, names)
+        _emit(
+            cfg,
+            [
+                {"name": name, "required_params": list(required)}
+                for name, (required, _) in catalog.MODELS.items()
+            ],
+        )
     return EXIT_OK
-
-
-def _required_params(name):
-    return {
-        "scarf2": ["A"],
-        "periodic": [],
-        "morse": ["xi"],
-        "constant_w": ["W0", "C0"],
-    }[name]
 
 
 def _add_common(parser, spectrum=False):

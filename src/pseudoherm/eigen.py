@@ -7,13 +7,13 @@ computed levels against analytic ones, and measures how well a closed-form
 eigenfunction satisfies the discrete eigenvalue equation.
 """
 
-import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .generator import effective_potential
+from .operators import _matrix
 
 TAU_REAL = 1e-5
 TAU_SOLVER = 1e-8
@@ -51,18 +51,13 @@ class SpectrumReport:
     matches: tuple = field(default_factory=tuple)
 
 
-def _matrix(op):
-    matrix = op.matrix if hasattr(op, "matrix") else np.asarray(op)
-    return np.asarray(matrix, dtype=complex)
-
-
 def is_real_eigenvalue(value, tol=TAU_REAL):
     return abs(value.imag) <= tol * max(1.0, abs(value.real))
 
 
 def eig(op):
     """Full spectrum with right eigenvectors and per-eigenvalue residuals."""
-    matrix = _matrix(op)
+    matrix = np.asarray(_matrix(op), dtype=complex)
     if not np.all(np.isfinite(matrix)):
         raise EigenSolverError("matrix contains non-finite entries")
     try:
@@ -145,10 +140,6 @@ def match_levels(report, analytic, tol):
     return out
 
 
-def with_matches(report, analytic, tol):
-    return replace(report, matches=tuple(match_levels(report, analytic, tol)))
-
-
 def eigenfunction_residual(model, grid, psi, energy):
     """||H psi - E psi||_2 / ||psi||_2 with the difference stencil applied
     directly to psi sampled on the closed interval [a, b].
@@ -191,19 +182,3 @@ def report_to_dict(report):
         ]
     return data
 
-
-def report_to_csv(report, path):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["re", "im", "residual", "real_flag"])
-        for value, residual, flag in zip(
-            report.eigenvalues, report.residuals, report.reality_flags
-        ):
-            writer.writerow(
-                [
-                    repr(float(value.real)),
-                    repr(float(value.imag)),
-                    repr(float(residual)),
-                    int(flag),
-                ]
-            )

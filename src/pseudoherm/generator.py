@@ -1,7 +1,8 @@
 """Pipeline from an imaginary potential part to the real part and metric data.
 
 Given a generator function W(x), an antiderivative I(x) = int^x W (closed
-form or numeric quadrature), and constants alpha, beta, this produces
+form, or numeric quadrature from x = 0), and constants alpha, beta, this
+produces
 
     G = -I/2
     Q = W'/(2I) - (W/(2I))^2 + alpha/I^2
@@ -13,13 +14,19 @@ where I vanishes; such points raise a domain error instead of returning
 infinities.
 """
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
 
-from .expressions import EvaluationError, differentiate, evaluate, parse, to_source
+from .expressions import (
+    EvaluationError,
+    _first_offender,
+    differentiate,
+    evaluate,
+    parse,
+    to_source,
+)
 
 ANTIDERIVATIVE_CHECK_TOL = 1e-8
 ANTIDERIVATIVE_ZERO_TOL = 1e-12
@@ -50,7 +57,8 @@ class GeneratorSpec:
     W is the generator expression; antiderivative, when supplied, must be
     a closed form of int^x W with zero integration constant (verified
     against W at construction).  Without it, evaluation falls back to
-    adaptive quadrature from `anchor`, shifted by `offset`.
+    adaptive quadrature of W from x = 0, so I(0) = 0 and V, Q are undefined
+    at the origin.
     """
 
     W: object
@@ -59,8 +67,6 @@ class GeneratorSpec:
     beta: float = 0.0
     env: dict = field(default_factory=dict)
     check_interval: tuple = (-1.0, 1.0)
-    anchor: float = 0.0
-    offset: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "W", _as_expr(self.W))
@@ -94,16 +100,6 @@ def spec_to_config(spec):
     }
 
 
-def spec_from_config(config):
-    return GeneratorSpec(
-        W=config["W"],
-        antiderivative=config.get("antiderivative"),
-        alpha=config.get("alpha", 0.0),
-        beta=config.get("beta", 0.0),
-        env=dict(config.get("params", {})),
-    )
-
-
 def antiderivative(spec, x):
     """Evaluate I(x) = int^x W, closed form when available."""
     if spec.antiderivative is not None:
@@ -130,20 +126,13 @@ def _numeric_antiderivative(spec, x):
     order = np.argsort(xs)
     sorted_xs = xs[order]
     # one short quad per gap between consecutive sample points, accumulated
-    # from the anchor, instead of N long integrals
-    stops = np.concatenate(([spec.anchor], sorted_xs))
+    # from x = 0, instead of N long integrals
+    stops = np.concatenate(([0.0], sorted_xs))
     gaps = [_quad(w, stops[i], stops[i + 1]) for i in range(len(sorted_xs))]
-    values = np.cumsum(gaps) + spec.offset
+    values = np.cumsum(gaps)
     out = np.empty_like(values)
     out[order] = values
     return float(out[0]) if scalar else out.reshape(np.shape(x))
-
-
-def calibrate_offset(spec, x_ref, value_ref):
-    """Return a spec whose numeric antiderivative equals value_ref at x_ref."""
-    base = dataclasses.replace(spec, offset=0.0)
-    measured = _numeric_antiderivative(base, x_ref)
-    return dataclasses.replace(spec, offset=value_ref - measured)
 
 
 @dataclass(frozen=True)
@@ -184,18 +173,6 @@ def derive(spec):
         def g_prime(x):
             return -0.5 * evaluate(w_expr, x, env)
 
-    def checked_integral(x):
-        value = integral(x)
-        bad = np.abs(np.asarray(value)) < ANTIDERIVATIVE_ZERO_TOL
-        if np.any(bad):
-            xs = np.broadcast_to(np.asarray(x, dtype=float), np.shape(bad))
-            offender = float(xs[bad].flat[0]) if np.ndim(bad) else float(xs)
-            raise GZeroError(
-                "antiderivative of W vanishes at x = %g; V and Q diverge there"
-                % offender
-            )
-        return value
-
     def w(x):
         return evaluate(w_expr, x, env)
 
@@ -203,8 +180,16 @@ def derive(spec):
         return -0.5 * integral(x)
 
     def q(x):
-        i = checked_integral(x)
-        half = evaluate(w_expr, x, env) / (2.0 * i)
+        i = integral(x)
+        w_x = evaluate(w_expr, x, env)
+        # relative to W, so a tail where I and W decay together is not a zero
+        bad = np.abs(i) <= ANTIDERIVATIVE_ZERO_TOL * np.abs(w_x)
+        if np.any(bad):
+            raise GZeroError(
+                "antiderivative of W vanishes at x = %g; V and Q diverge there"
+                % _first_offender(x, bad)
+            )
+        half = w_x / (2.0 * i)
         return evaluate(wp_expr, x, env) / (2.0 * i) - half**2 + spec.alpha / i**2
 
     def v(x):

@@ -95,13 +95,6 @@ def _matrix(op):
     return op.matrix if isinstance(op, DiscreteOperator) else np.asarray(op)
 
 
-def adjoint(op):
-    """Conjugate transpose, preserving the grid reference."""
-    if isinstance(op, DiscreteOperator):
-        return DiscreteOperator(op.matrix.conj().T, op.grid, op.label)
-    return np.asarray(op).conj().T
-
-
 def compose(left, right, label=""):
     """Matrix product of two operators on the same grid."""
     _check_grids(left, right)
@@ -110,6 +103,11 @@ def compose(left, right, label=""):
 
 
 def _check_grids(left, right):
+    left_shape, right_shape = np.shape(_matrix(left)), np.shape(_matrix(right))
+    if left_shape != right_shape:
+        raise GridMismatchError(
+            "operators have different shapes: %s vs %s" % (left_shape, right_shape)
+        )
     if (
         isinstance(left, DiscreteOperator)
         and isinstance(right, DiscreteOperator)
@@ -154,14 +152,22 @@ def matrix_to_csv(op, path):
 
 
 def matrix_from_csv(path):
-    """Inverse of matrix_to_csv."""
+    """Inverse of matrix_to_csv.  Input that cannot be read, holds a
+    non-numeric field or is not a square matrix raises SpecError."""
+    try:
+        with open(path, newline="") as handle:
+            records = [record for record in csv.reader(handle) if record]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecError("cannot read matrix CSV: %s" % exc) from None
     rows = []
-    with open(path, newline="") as handle:
-        for record in csv.reader(handle):
-            if not record:
-                continue
+    for record in records:
+        try:
             flat = np.array([float(v) for v in record])
-            if flat.size % 2:
-                raise SpecError("CSV row length %d is not re,im paired" % flat.size)
-            rows.append(flat[0::2] + 1j * flat[1::2])
+        except ValueError as exc:
+            raise SpecError("%s: %s" % (path, exc)) from None
+        if flat.size % 2:
+            raise SpecError("CSV row length %d is not re,im paired" % flat.size)
+        rows.append(flat[0::2] + 1j * flat[1::2])
+    if not rows or any(row.size != len(rows) for row in rows):
+        raise SpecError("%s is not a square matrix of re,im pairs" % path)
     return np.array(rows)

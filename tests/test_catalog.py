@@ -112,11 +112,10 @@ def test_morse_effective_potential_reconstruction():
 def test_periodic_effective_potential_cross_check():
     entry = get("periodic")
     model = derive(entry.spec)
-    closed = entry.cross_checks["effective_potential"]
     xs = np.linspace(-3.0, 3.0, 80)
-    assert np.max(np.abs(effective_potential(model, xs) - closed(xs))) < 1e-10
-    assert closed(0.0) == pytest.approx(-6.0 + 0j, abs=1e-14)
-    assert periodic_effective_closed_form(0.0) == closed(0.0)
+    closed = periodic_effective_closed_form(xs)
+    assert np.max(np.abs(effective_potential(model, xs) - closed)) < 1e-10
+    assert periodic_effective_closed_form(0.0) == pytest.approx(-6.0 + 0j, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -260,3 +260,64 @@ def test_bad_param_syntax(capsys):
     code, out, err = run(capsys, "derive", "--model", "scarf2", "--param", "A2")
     assert code == 2
     assert "NAME=VALUE" in err
+
+
+def test_derive_wide_window_keeps_decaying_antiderivative(capsys):
+    # A/cosh(x) drops below any absolute threshold near |x| = 30 but never
+    # vanishes; only a zero relative to W is a domain error
+    code, report = run_json(
+        capsys,
+        "derive", "--model", "scarf2", "--param", "A=4",
+        "--a", "-32", "--b", "32", "--N", "99",
+    )
+    assert code == 0
+    assert np.all(np.isfinite(report["columns"]["Q"]))
+
+
+# ---------------------------------------------------------------------------
+# report formats and external input
+
+
+def test_catalog_list_refuses_csv(capsys):
+    code, out, err = run(capsys, "catalog", "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert "--format csv is not available" in err
+
+
+def test_spectrum_sweep_refuses_csv_before_solving(capsys, monkeypatch):
+    def no_eig(op):
+        raise AssertionError("eigensolve ran before the format was refused")
+
+    monkeypatch.setattr("pseudoherm.eigen.eig", no_eig)
+    code, out, err = run(
+        capsys,
+        "spectrum", "--model", "scarf2", "--sweep", "A=2,4",
+        "--N", "100", "--format", "csv",
+    )
+    assert code == 2
+    assert out == ""
+    assert "--format csv is not available" in err
+
+
+@pytest.mark.parametrize(
+    "H_text,eta_text,message",
+    [
+        ("1,0,0,0\n0,0\n", "1,0,0,0\n0,0,1,0\n", "not a square matrix"),
+        ("1,0,x,0\n0,0,1,0\n", "1,0,0,0\n0,0,1,0\n", "could not convert"),
+        ("1,0,0,0\n0,0,1,0\n", "1,0\n", "different shapes"),
+        (None, "1,0\n", "cannot read"),
+    ],
+    ids=["ragged", "non_numeric", "size_mismatch", "missing_file"],
+)
+def test_verify_external_rejects_bad_csv(capsys, tmp_path, H_text, eta_text, message):
+    h_path = tmp_path / "H.csv"
+    eta_path = tmp_path / "eta.csv"
+    if H_text is not None:
+        h_path.write_text(H_text)
+    eta_path.write_text(eta_text)
+    code, out, err = run(
+        capsys, "verify", "--H-csv", str(h_path), "--eta-csv", str(eta_path)
+    )
+    assert code == 2
+    assert message in err

@@ -11,7 +11,6 @@ from pseudoherm.eigen import (
     eig,
     eigenfunction_residual,
     match_levels,
-    report_to_csv,
     report_to_dict,
 )
 from pseudoherm.generator import derive
@@ -184,13 +183,8 @@ def test_zero_eigenfunction_is_rejected():
 # report serialization
 
 
-def test_report_round_trip_to_dict_and_csv(tmp_path):
+def test_report_round_trip_to_dict():
     report = eig(np.diag([3.0, 1.0]).astype(complex))
     data = report_to_dict(report)
     assert data["eigenvalues"] == [[1.0, 0.0], [3.0, 0.0]]
     assert all(r <= TAU_SOLVER for r in data["residuals"])
-    path = tmp_path / "spectrum.csv"
-    report_to_csv(report, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "re,im,residual,real_flag"
-    assert len(lines) == 3

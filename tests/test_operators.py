@@ -10,7 +10,6 @@ from pseudoherm.operators import (
     DiscreteOperator,
     Grid,
     GridMismatchError,
-    adjoint,
     build_eta,
     build_hamiltonian,
     compose,
@@ -112,25 +111,6 @@ def test_morse_metric_diagonal_at_origin():
 def test_metric_is_exactly_hermitian(name, params, grid):
     op = build_eta(catalog_model(name, **params), grid)
     assert hermiticity_residual(op) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# adjoint
-
-
-def test_adjoint_is_involutive():
-    op = build_hamiltonian(catalog_model("scarf2", A=2.0), Grid(-10.0, 10.0, 200))
-    assert np.all(adjoint(adjoint(op)).matrix == op.matrix)
-
-
-def test_adjoint_of_complex_symmetric_is_conjugate():
-    op = build_hamiltonian(catalog_model("scarf2", A=2.0), Grid(-10.0, 10.0, 200))
-    assert np.all(adjoint(op).matrix == op.matrix.conj())
-
-
-def test_adjoint_fixes_the_metric():
-    op = build_eta(catalog_model("periodic"), Grid(-np.pi, np.pi, 30))
-    assert np.all(adjoint(op).matrix == op.matrix)
 
 
 # ---------------------------------------------------------------------------
