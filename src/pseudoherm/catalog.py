@@ -89,7 +89,8 @@ def periodic_effective_closed_form(x):
     return complex(value) if value.ndim == 0 else value
 
 
-def _scarf2(A, **_):
+def _scarf2(env):
+    A = float(env["A"])
     return dict(
         spec=GeneratorSpec(
             W="-A*sinh(x)/cosh(x)^2",
@@ -109,7 +110,7 @@ def _scarf2(A, **_):
     )
 
 
-def _periodic(**_):
+def _periodic(env):
     return dict(
         spec=GeneratorSpec(
             W="4*sin(2*x)/(3*(cos(x)^2-4/3)^2)",
@@ -133,7 +134,8 @@ def _periodic(**_):
     )
 
 
-def _morse(xi, **_):
+def _morse(env):
+    xi = float(env["xi"])
     return dict(
         spec=GeneratorSpec(
             W="-xi*exp(-x)",
@@ -153,7 +155,8 @@ def _morse(xi, **_):
     )
 
 
-def _constant_w(W0, C0, alpha=0.0, beta=0.0, **_):
+def _constant_w(env):
+    W0, C0 = float(env["W0"]), float(env["C0"])
     return dict(
         spec=GeneratorSpec(W="W0", env={"W0": W0}),
         analytic_V=None,
@@ -161,7 +164,10 @@ def _constant_w(W0, C0, alpha=0.0, beta=0.0, **_):
         grid=Grid(-20.0, 20.0, 2000),
         solvable=False,
         constant_model=ConstantWModel(
-            W0=W0, C0=C0, alpha=float(alpha), beta=float(beta)
+            W0=W0,
+            C0=C0,
+            alpha=float(env.get("alpha", 0.0)),
+            beta=float(env.get("beta", 0.0)),
         ),
         notes="degenerate constant generator; the real part of the"
         " effective potential is unbounded below, so no bound states"
@@ -169,10 +175,8 @@ def _constant_w(W0, C0, alpha=0.0, beta=0.0, **_):
     )
 
 
-# name -> (required parameters, builder).  A builder takes the required
-# parameters positionally as floats and every other bound parameter by
-# keyword, ignoring the ones it does not use, and returns the entry's
-# fields other than its name.
+# name -> (required parameters, builder); a builder reads its parameters
+# from env and returns the entry's fields other than its name.
 MODELS = {
     "scarf2": (("A",), _scarf2),
     "periodic": ((), _periodic),
@@ -185,7 +189,7 @@ MODEL_NAMES = tuple(MODELS)
 
 def get(name, env=None):
     """Look up a catalog entry; env binds the model's parameters."""
-    env = dict(env or {})
+    env = env or {}
     if name not in MODELS:
         raise SpecError(
             "unknown model '%s'; available: %s" % (name, ", ".join(MODEL_NAMES))
@@ -194,5 +198,4 @@ def get(name, env=None):
     for param in required:
         if param not in env:
             raise SpecError("model '%s' requires parameter '%s'" % (name, param))
-    values = [float(env.pop(param)) for param in required]
-    return CatalogEntry(name=name, **build(*values, **env))
+    return CatalogEntry(name=name, **build(env))

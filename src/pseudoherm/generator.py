@@ -182,15 +182,18 @@ def derive(spec):
     def q(x):
         i = integral(x)
         w_x = evaluate(w_expr, x, env)
-        # relative to W, so a tail where I and W decay together is not a zero
-        bad = np.abs(i) <= ANTIDERIVATIVE_ZERO_TOL * np.abs(w_x)
+        wp_x = evaluate(wp_expr, x, env)
+        # relative to W and W', so a tail where I, W and W' decay together
+        # is not a zero, while a double zero of I (W = 0, W' != 0) still is
+        scale = np.maximum(np.abs(w_x), np.abs(wp_x))
+        bad = np.abs(i) <= ANTIDERIVATIVE_ZERO_TOL * scale
         if np.any(bad):
             raise GZeroError(
                 "antiderivative of W vanishes at x = %g; V and Q diverge there"
                 % _first_offender(x, bad)
             )
         half = w_x / (2.0 * i)
-        return evaluate(wp_expr, x, env) / (2.0 * i) - half**2 + spec.alpha / i**2
+        return wp_x / (2.0 * i) - half**2 + spec.alpha / i**2
 
     def v(x):
         return q(x) - g(x) ** 2 + spec.beta

@@ -217,6 +217,11 @@ def test_spectrum_csv_lists_eigenvalues(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "re,im,residual,real_flag"
+    code, report = run_json(
+        capsys, "spectrum", "--model", "scarf2", "--param", "A=2", "--N", "400"
+    )
+    assert len(lines) - 1 == len(report["bound_states"]["eigenvalues"])
+    assert all(len(line.split(",")) == 4 for line in lines[1:])
 
 
 def test_spectrum_rejects_constant_w(capsys):
@@ -272,6 +277,16 @@ def test_derive_wide_window_keeps_decaying_antiderivative(capsys):
     )
     assert code == 0
     assert np.all(np.isfinite(report["columns"]["Q"]))
+
+
+def test_derive_inline_odd_w_flags_double_zero_of_antiderivative(capsys):
+    # without --antideriv, I = int_0^x W has a double zero at x = 0 for odd
+    # W; W(0) = 0 there, so the zero test must also scale by W'
+    code, out, err = run(
+        capsys, "derive", "--W=-A*sinh(x)/cosh(x)^2", "--param", "A=4"
+    )
+    assert code == 3
+    assert "vanishes" in err
 
 
 # ---------------------------------------------------------------------------
