@@ -17,7 +17,6 @@ infinities.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .expressions import (
     EvaluationError,
@@ -108,6 +107,10 @@ def antiderivative(spec, x):
 
 
 def _quad(w, lo, hi):
+    # imported here, not at module load: importing scipy.integrate takes most
+    # of a cold CLI start, and only W without a closed antiderivative needs it
+    from scipy import integrate
+
     value, abserr = integrate.quad(w, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)
     if abserr > QUADRATURE_TOL * max(1.0, abs(value)):
         raise QuadratureError(
@@ -166,9 +169,16 @@ def derive(spec):
             return -0.5 * evaluate(anti_deriv_expr, x, env)
 
     else:
+        # V needs I through both Q and G, and the builders sample G, Q and V
+        # on the same points, so the last quadrature pass is kept and reused
+        # for equal sample points (Grid.points is a fresh array on each call)
+        last = {}
 
         def integral(x):
-            return _numeric_antiderivative(spec, x)
+            xs = np.array(x, dtype=float)
+            if "x" not in last or not np.array_equal(last["x"], xs):
+                last["x"], last["I"] = xs, _numeric_antiderivative(spec, xs)
+            return last["I"]
 
         def g_prime(x):
             return -0.5 * evaluate(w_expr, x, env)
@@ -263,6 +273,8 @@ def riccati_F(model, x0, F0, xs):
     returned with blew_up set.  Only Q enters the metric construction, so
     this is a diagnostic, not part of the verification path.
     """
+    from scipy import integrate
+
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size == 0 or np.any(np.diff(xs) <= 0):
         raise SpecError("riccati_F needs a strictly increasing sample grid")

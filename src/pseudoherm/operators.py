@@ -1,4 +1,4 @@
-"""Dense discretizations of H and the metric operator on a truncated line.
+"""Banded discretizations of H and the metric operator on a truncated line.
 
 The infinite line is replaced by [a, b] with Dirichlet ends and N interior
 points.  H = -D2 + diag(V + iW) with the 3-point second difference D2.
@@ -7,6 +7,11 @@ the symmetrized form -D2 - i(Gh D1 + D1 Gh) + diag(Q + G^2), with D1 the
 antisymmetric central first difference and Gh = diag(G).  The symmetrized
 form reproduces the G' term through the operator identity
 G d/dx + d/dx G = 2G d/dx + G' and is Hermitian exactly, at any spacing.
+
+Both are three-point stencils, so each operator is stored as its diagonals.
+Products, adjoints and the Frobenius-norm residuals work on the diagonals in
+O(N); a dense N x N matrix is assembled only on request, for the reference
+eigensolver and CSV export.
 """
 
 import csv
@@ -49,17 +54,45 @@ class Grid:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    matrix: np.ndarray
+    """An n x n operator stored as its diagonals.
+
+    bands[k] is np.diagonal(M, k): M[i, i+k] for k >= 0 and M[i-k, i] for
+    k < 0, of length n - |k|.  Absent offsets are zero.  The main diagonal
+    bands[0] is always present, so it gives n.
+    """
+
+    bands: dict
     grid: Grid = None
     label: str = ""
 
+    @classmethod
+    def from_matrix(cls, matrix):
+        """The nonzero diagonals of a square matrix (and its main diagonal)."""
+        matrix = np.asarray(matrix)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise SpecError("an operator needs a square matrix, got shape %s"
+                            % (matrix.shape,))
+        n = matrix.shape[0]
+        bands = {}
+        for k in range(1 - n, n):
+            band = np.diagonal(matrix, k)
+            if k == 0 or np.any(band):
+                bands[k] = band.astype(complex)
+        return cls(bands)
 
-def _tridiag(diag, upper, lower):
-    matrix = np.diag(diag).astype(complex)
-    n = len(diag)
-    matrix[np.arange(n - 1), np.arange(1, n)] = upper
-    matrix[np.arange(1, n), np.arange(n - 1)] = lower
-    return matrix
+    @property
+    def n(self):
+        return self.bands[0].size
+
+    @property
+    def matrix(self):
+        """The dense n x n array, assembled on each access."""
+        n = self.n
+        out = np.zeros((n, n), dtype=complex)
+        for k, band in self.bands.items():
+            rows = np.arange(band.size) + max(-k, 0)
+            out[rows, rows + k] = band
+        return out
 
 
 def build_hamiltonian(model, grid):
@@ -76,11 +109,11 @@ def build_hamiltonian(model, grid):
         )
     diag = 2.0 / h**2 + veff
     off = np.full(grid.n - 1, -1.0 / h**2, dtype=complex)
-    return DiscreteOperator(_tridiag(diag, off, off), grid, "H")
+    return DiscreteOperator({-1: off, 0: diag, 1: off}, grid, "H")
 
 
 def build_eta(model, grid):
-    """Symmetrized metric-operator matrix; Hermitian by construction."""
+    """Symmetrized metric operator; Hermitian by construction."""
     x = grid.points
     h = grid.h
     g = model.G(x)
@@ -88,33 +121,68 @@ def build_eta(model, grid):
     mean_g = 0.5 * (g[:-1] + g[1:])
     upper = -1.0 / h**2 - 1j * mean_g / h
     lower = -1.0 / h**2 + 1j * mean_g / h
-    return DiscreteOperator(_tridiag(diag, upper, lower), grid, "eta")
+    return DiscreteOperator({-1: lower, 0: diag, 1: upper}, grid, "eta")
+
+
+def _operator(op):
+    return op if isinstance(op, DiscreteOperator) else DiscreteOperator.from_matrix(op)
 
 
 def _matrix(op):
+    """Dense array of an operator or a plain matrix, for the dense edges:
+    the reference eigensolver and CSV export."""
     return op.matrix if isinstance(op, DiscreteOperator) else np.asarray(op)
 
 
+def _adjoint(bands):
+    """Bands of M^dag: offset k holds the conjugate of offset -k."""
+    return {-k: band.conj() for k, band in bands.items()}
+
+
+def _product(left, right):
+    """Bands of L R: band p of L times band q of R lands on offset p + q.
+
+    (L R)[i, i+p+q] gets L[i, i+p] R[i+p, i+p+q] over the rows i where all
+    three column indices i, i+p and i+p+q lie in [0, n).
+    """
+    n = left[0].size
+    out = {0: np.zeros(n, dtype=complex)}
+    for p, lband in left.items():
+        for q, rband in right.items():
+            s = p + q
+            lo, hi = max(0, -p, -s), n - max(0, p, s)
+            if lo >= hi:
+                continue
+            if s not in out:
+                out[s] = np.zeros(n - abs(s), dtype=complex)
+            l0, r0, s0 = lo - max(0, -p), lo + p - max(0, -q), lo - max(0, -s)
+            out[s][s0:s0 + hi - lo] += lband[l0:l0 + hi - lo] * rband[r0:r0 + hi - lo]
+    return out
+
+
+def _difference(left, right):
+    return {k: left.get(k, 0.0) - right.get(k, 0.0) for k in left.keys() | right.keys()}
+
+
+def _frobenius(bands):
+    """Frobenius norm: the root of the summed squared band norms."""
+    return np.sqrt(sum(np.vdot(band, band).real for band in bands.values()))
+
+
 def compose(left, right, label=""):
-    """Matrix product of two operators on the same grid."""
+    """Product of two operators on the same grid."""
+    left, right = _operator(left), _operator(right)
     _check_grids(left, right)
-    grid = left.grid if isinstance(left, DiscreteOperator) else None
-    return DiscreteOperator(_matrix(left) @ _matrix(right), grid, label)
+    return DiscreteOperator(_product(left.bands, right.bands), left.grid, label)
 
 
 def _check_grids(left, right):
-    left_shape, right_shape = np.shape(_matrix(left)), np.shape(_matrix(right))
-    if left_shape != right_shape:
+    if left.n != right.n:
         raise GridMismatchError(
-            "operators have different shapes: %s vs %s" % (left_shape, right_shape)
+            "operators have different shapes: %s vs %s"
+            % ((left.n, left.n), (right.n, right.n))
         )
-    if (
-        isinstance(left, DiscreteOperator)
-        and isinstance(right, DiscreteOperator)
-        and left.grid is not None
-        and right.grid is not None
-        and left.grid != right.grid
-    ):
+    if left.grid is not None and right.grid is not None and left.grid != right.grid:
         raise GridMismatchError(
             "operators live on different grids: %r vs %r" % (left.grid, right.grid)
         )
@@ -122,21 +190,23 @@ def _check_grids(left, right):
 
 def intertwining_residual(hamiltonian, eta):
     """|| eta H - H^dag eta ||_F normalized by ||eta||_F ||H||_F."""
+    hamiltonian, eta = _operator(hamiltonian), _operator(eta)
     _check_grids(hamiltonian, eta)
-    h_mat = _matrix(hamiltonian)
-    e_mat = _matrix(eta)
-    defect = e_mat @ h_mat - h_mat.conj().T @ e_mat
-    scale = np.linalg.norm(e_mat) * np.linalg.norm(h_mat)
-    return float(np.linalg.norm(defect) / scale)
+    defect = _difference(
+        _product(eta.bands, hamiltonian.bands),
+        _product(_adjoint(hamiltonian.bands), eta.bands),
+    )
+    scale = _frobenius(eta.bands) * _frobenius(hamiltonian.bands)
+    return float(_frobenius(defect) / scale)
 
 
 def hermiticity_residual(op):
     """|| M - M^dag ||_F / ||M||_F (0 for the zero matrix)."""
-    matrix = _matrix(op)
-    scale = np.linalg.norm(matrix)
+    bands = _operator(op).bands
+    scale = _frobenius(bands)
     if scale == 0.0:
         return 0.0
-    return float(np.linalg.norm(matrix - matrix.conj().T) / scale)
+    return float(_frobenius(_difference(bands, _adjoint(bands))) / scale)
 
 
 def matrix_to_csv(op, path):

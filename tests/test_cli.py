@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.integrate
 
-from pseudoherm.cli import main
+import pseudoherm
+from pseudoherm.cli import DERIVE_SAMPLES, main
 from pseudoherm.operators import Grid, build_eta, build_hamiltonian, matrix_to_csv
 from pseudoherm.catalog import get
 from pseudoherm.generator import derive
@@ -140,6 +146,58 @@ def test_verify_fails_on_unreachable_tolerance(capsys):
     )
     assert code == 1
     assert report["status"] == "FAIL"
+
+
+def test_verify_peak_memory_stays_banded(capsys):
+    # one dense complex matrix at N=2000 alone takes 64 MB
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--model", "scarf2", "--param", "A=4", "--N", "2000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 8e6
+
+
+def test_verify_runs_at_large_n(capsys):
+    code, report = run_json(
+        capsys, "verify", "--model", "scarf2", "--param", "A=4", "--N", "8000"
+    )
+    assert code == 0
+    assert report["residuals"]["eta_hermiticity"] == 0.0
+
+
+def test_inline_w_is_integrated_once_per_sample_array(capsys, monkeypatch):
+    calls = []
+    original = scipy.integrate.quad
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counted)
+    inline = ("--W=-A*sinh(x)/cosh(x)^2", "--param", "A=4", "--a", "0.5", "--b", "12")
+    code, _, err = run(capsys, "derive", *inline)
+    assert code == 0, err
+    assert len(calls) == DERIVE_SAMPLES
+    calls.clear()
+    code, _, err = run(capsys, "verify", *inline, "--N", "500")
+    assert code in (0, 1), err
+    assert len(calls) == 500
+
+
+def test_cli_import_defers_scipy_integrate():
+    src = os.path.dirname(os.path.dirname(pseudoherm.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pseudoherm.cli; print('scipy.integrate' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_verify_external_matrices(capsys, tmp_path):

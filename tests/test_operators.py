@@ -2,6 +2,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pseudoherm.catalog import get
@@ -195,6 +197,11 @@ def test_grid_mismatch_is_rejected():
         intertwining_residual(h_op, eta_op)
 
 
+def test_residuals_reject_non_square_matrices():
+    with pytest.raises(SpecError, match="square"):
+        hermiticity_residual(np.ones((2, 3)))
+
+
 def test_residuals_accept_plain_matrices():
     rng = np.random.default_rng(3)
     h_matrix = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
@@ -204,6 +211,91 @@ def test_residuals_accept_plain_matrices():
         np.linalg.norm(eta_matrix) * np.linalg.norm(h_matrix)
     )
     assert value == pytest.approx(expected, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# banded arithmetic against dense reference formulas
+
+
+def dense_intertwining(h, e):
+    return np.linalg.norm(e @ h - h.conj().T @ e) / (
+        np.linalg.norm(e) * np.linalg.norm(h)
+    )
+
+
+def dense_hermiticity(m):
+    scale = np.linalg.norm(m)
+    return 0.0 if scale == 0.0 else np.linalg.norm(m - m.conj().T) / scale
+
+
+def assemble(op):
+    return sum(np.diag(band, k) for k, band in op.bands.items())
+
+
+def random_matrix(rng, n, kind):
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.triu(np.tril(m, 1), -1) if kind == "tridiagonal" else m
+
+
+@st.composite
+def plain_pairs(draw):
+    n = draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(["tridiagonal", "full"])
+    return random_matrix(rng, n, draw(kinds)), random_matrix(rng, n, draw(kinds))
+
+
+CATALOG = {"scarf2": {"A": 4.0}, "periodic": {}, "morse": {"xi": 1.0}}
+
+
+@st.composite
+def catalog_pairs(draw):
+    name = draw(st.sampled_from(sorted(CATALOG)))
+    entry = get(name, CATALOG[name])
+    quarter = 0.25 * (entry.grid.b - entry.grid.a)
+    fraction = st.floats(0.0, 1.0)
+    grid = Grid(
+        entry.grid.a + quarter * draw(fraction),
+        entry.grid.b - quarter * draw(fraction),
+        draw(st.integers(3, 40)),
+    )
+    model = derive(entry.spec)
+    return build_hamiltonian(model, grid), build_eta(model, grid)
+
+
+def assert_bands_match_dense(h_op, eta_op, h, e):
+    rel = dict(rel=1e-12, abs=0.0)
+    assert intertwining_residual(h_op, eta_op) == pytest.approx(
+        dense_intertwining(h, e), **rel
+    )
+    for op, m in ((h_op, h), (eta_op, e)):
+        assert hermiticity_residual(op) == pytest.approx(dense_hermiticity(m), **rel)
+    product = compose(eta_op, h_op, "etaH")
+    assert np.linalg.norm(product.matrix - e @ h) <= 1e-12 * np.linalg.norm(e @ h)
+    assert hermiticity_residual(product) == pytest.approx(
+        dense_hermiticity(e @ h), **rel
+    )
+    assert np.array_equal(product.matrix, assemble(product))
+
+
+@settings(max_examples=60, deadline=None)
+@given(plain_pairs())
+def test_banded_matches_dense_on_plain_matrices(pair):
+    h, e = pair
+    for m in pair:
+        assert np.array_equal(DiscreteOperator.from_matrix(m).matrix, m)
+    assert_bands_match_dense(h, e, h, e)
+
+
+@pytest.mark.filterwarnings("ignore:max")  # coarse grids underresolve
+@settings(max_examples=60, deadline=None)
+@given(catalog_pairs())
+def test_banded_matches_dense_on_catalog_models(pair):
+    h_op, eta_op = pair
+    for op in pair:
+        assert sorted(op.bands) == [-1, 0, 1]
+        assert np.array_equal(op.matrix, assemble(op))
+    assert_bands_match_dense(h_op, eta_op, h_op.matrix, eta_op.matrix)
 
 
 # ---------------------------------------------------------------------------
