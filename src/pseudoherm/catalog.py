@@ -166,18 +166,20 @@ def _morse(env):
 
 def _constant_w(env):
     W0, C0 = float(env["W0"]), float(env["C0"])
+    alpha, beta = float(env.get("alpha", 0.0)), float(env.get("beta", 0.0))
     return dict(
-        spec=GeneratorSpec(W="W0", env={"W0": W0}),
+        spec=GeneratorSpec(
+            W="W0",
+            antiderivative="W0*x + C0",
+            alpha=alpha,
+            beta=beta,
+            env={"W0": W0, "C0": C0},
+        ),
         analytic_V=None,
         analytic_levels=(),
         grid=Grid(-20.0, 20.0, 2000),
         solvable=False,
-        constant_model=ConstantWModel(
-            W0=W0,
-            C0=C0,
-            alpha=float(env.get("alpha", 0.0)),
-            beta=float(env.get("beta", 0.0)),
-        ),
+        constant_model=ConstantWModel(W0=W0, C0=C0, alpha=alpha, beta=beta),
         notes="degenerate constant generator; the real part of the"
         " effective potential is unbounded below, so no bound states"
         " exist and no spectrum is asserted",

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import catalog, eigen, operators
 from .eigen import EigenSolverError
-from .expressions import EvaluationError, ExprSyntaxError
+from .expressions import EvaluationError, ExprSyntaxError, evaluate, to_source
 from .generator import (
     GeneratorSpec,
     SpecError,
@@ -177,8 +177,6 @@ def cmd_derive(cfg):
         "columns": {k: [float(v) for v in col] for k, col in table.items()},
     }
     if entry is not None and entry.analytic_V is not None:
-        from .expressions import evaluate
-
         reference = evaluate(entry.analytic_V, xs, spec.env)
         residual = float(
             np.max(np.abs(table["V"] - reference) / np.maximum(1.0, np.abs(reference)))
@@ -337,8 +335,6 @@ def cmd_spectrum(cfg):
 def cmd_catalog(cfg):
     if cfg.name:
         entry = catalog.get(cfg.name, cfg.params)
-        from .expressions import to_source
-
         report = {
             "name": entry.name,
             "spec": spec_to_config(entry.spec),

@@ -1,8 +1,8 @@
 """Pipeline from an imaginary potential part to the real part and metric data.
 
 Given a generator function W(x), an antiderivative I(x) = int^x W (closed
-form, or numeric quadrature from x = 0), and constants alpha, beta, this
-produces
+form, or composite Gauss-Legendre quadrature from x = 0), and constants
+alpha, beta, this produces
 
     G = -I/2
     Q = W'/(2I) - (W/(2I))^2 + alpha/I^2
@@ -17,12 +17,14 @@ infinities.
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .expressions import (
     EvaluationError,
     _first_offender,
     differentiate,
     evaluate,
+    free_parameters,
     parse,
     to_source,
 )
@@ -30,6 +32,9 @@ from .expressions import (
 ANTIDERIVATIVE_CHECK_TOL = 1e-8
 ANTIDERIVATIVE_ZERO_TOL = 1e-12
 QUADRATURE_TOL = 1e-10
+QUADRATURE_PANEL = 0.05
+QUADRATURE_ORDER = 10
+QUADRATURE_MAX_PANELS = 2**14
 RICCATI_BLOWUP = 1e8
 
 
@@ -54,10 +59,10 @@ class GeneratorSpec:
     """Input data for the derivation pipeline.
 
     W is the generator expression; antiderivative, when supplied, must be
-    a closed form of int^x W with zero integration constant (verified
-    against W at construction).  Without it, evaluation falls back to
-    adaptive quadrature of W from x = 0, so I(0) = 0 and V, Q are undefined
-    at the origin.
+    a closed form of int^x W (verified against W at construction).  Without
+    it, evaluation falls back to composite Gauss-Legendre quadrature of W
+    from x = 0, so I(0) = 0 and V, Q are undefined at the origin.  Every
+    parameter of either expression must be bound in env.
     """
 
     W: object
@@ -70,6 +75,10 @@ class GeneratorSpec:
     def __post_init__(self):
         object.__setattr__(self, "W", _as_expr(self.W))
         object.__setattr__(self, "antiderivative", _as_expr(self.antiderivative))
+        names = free_parameters(self.W) | free_parameters(self.antiderivative)
+        unbound = names - set(self.env)
+        if unbound:
+            raise SpecError("unbound parameter '%s'" % "', '".join(sorted(unbound)))
         if self.antiderivative is not None:
             self._check_antiderivative()
 
@@ -106,35 +115,43 @@ def antiderivative(spec, x):
     return _numeric_antiderivative(spec, x)
 
 
-def _quad(w, lo, hi):
-    # imported here, not at module load: importing scipy.integrate takes most
-    # of a cold CLI start, and only W without a closed antiderivative needs it
-    from scipy import integrate
-
-    value, abserr = integrate.quad(w, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)
-    if abserr > QUADRATURE_TOL * max(1.0, abs(value)):
-        raise QuadratureError(
-            "quadrature error %.3g over [%g, %g] exceeds %g"
-            % (abserr, lo, hi, QUADRATURE_TOL)
-        )
-    return value
-
-
 def _numeric_antiderivative(spec, x):
-    def w(t):
-        return evaluate(spec.W, t, spec.env)
-
     scalar = np.ndim(x) == 0
     xs = np.asarray(x, dtype=float).ravel()
     order = np.argsort(xs)
-    sorted_xs = xs[order]
-    # one short quad per gap between consecutive sample points, accumulated
-    # from x = 0, instead of N long integrals
-    stops = np.concatenate(([0.0], sorted_xs))
-    gaps = [_quad(w, stops[i], stops[i + 1]) for i in range(len(sorted_xs))]
-    values = np.cumsum(gaps)
+    # the gaps between consecutive sorted stops, 0 among them, are cut into
+    # equal panels; W is sampled once on both Gauss-Legendre rules of each
+    zero = np.searchsorted(xs[order], 0.0)
+    stops = np.insert(xs[order], zero, 0.0)
+    gaps = np.diff(stops)
+    # long windows get wider panels, so the node count stays bounded
+    widest = max(QUADRATURE_PANEL, (stops[-1] - stops[0]) / QUADRATURE_MAX_PANELS)
+    panels = np.maximum(1, np.ceil(gaps / widest)).astype(int)
+    first = np.cumsum(panels) - panels
+    owner = np.repeat(np.arange(gaps.size), panels)
+    # panel k of gap j spans stops[j] + 2 * half * [k, k + 1]
+    k = (np.arange(owner.size) - first[owner])[:, None]
+    half = 0.5 * (gaps / panels)[owner, None]
+    m = QUADRATURE_ORDER
+    t, w = map(np.concatenate, zip(leggauss(m), leggauss(2 * m)))
+    nodes = stops[owner, None] + half * (2 * k + 1 + t)
+    f = half * w * evaluate(spec.W, nodes, spec.env)
+    coarse, fine = f[:, :m].sum(axis=1), f[:, m:].sum(axis=1)
+    values = np.add.reduceat(fine, first)
+    errors = np.add.reduceat(np.abs(fine - coarse), first)
+    # negated, so that a NaN estimate (W overflowing on a node) also fails
+    bad = ~(errors <= QUADRATURE_TOL * np.maximum(1.0, np.abs(values)))
+    if np.any(bad):
+        i = np.argmax(bad)
+        raise QuadratureError(
+            "quadrature error %.3g over [%g, %g] exceeds %g"
+            % (errors[i], stops[i], stops[i + 1], QUADRATURE_TOL)
+        )
+    # accumulated outwards from x = 0 on each side, so no value carries the
+    # rounding of a detour through the far end of the other side
+    below, above = np.cumsum(values[:zero][::-1])[::-1], np.cumsum(values[zero:])
     out = np.empty_like(values)
-    out[order] = values
+    out[order] = np.concatenate((-below, above))
     return float(out[0]) if scalar else out.reshape(np.shape(x))
 
 
@@ -159,38 +176,21 @@ def derive(spec):
     w_expr = spec.W
     wp_expr = differentiate(w_expr)
 
-    if spec.antiderivative is not None:
-        anti_deriv_expr = differentiate(spec.antiderivative)
+    # G' = -W/2, taken from the closed form's own derivative when there is one
+    closed = spec.antiderivative
+    gp_expr = w_expr if closed is None else differentiate(closed)
 
-        def integral(x):
-            return evaluate(spec.antiderivative, x, env)
-
-        def g_prime(x):
-            return -0.5 * evaluate(anti_deriv_expr, x, env)
-
-    else:
-        # V needs I through both Q and G, and the builders sample G, Q and V
-        # on the same points, so the last quadrature pass is kept and reused
-        # for equal sample points (Grid.points is a fresh array on each call)
-        last = {}
-
-        def integral(x):
-            xs = np.array(x, dtype=float)
-            if "x" not in last or not np.array_equal(last["x"], xs):
-                last["x"], last["I"] = xs, _numeric_antiderivative(spec, xs)
-            return last["I"]
-
-        def g_prime(x):
-            return -0.5 * evaluate(w_expr, x, env)
+    def g_prime(x):
+        return -0.5 * evaluate(gp_expr, x, env)
 
     def w(x):
         return evaluate(w_expr, x, env)
 
     def g(x):
-        return -0.5 * integral(x)
+        return -0.5 * antiderivative(spec, x)
 
     def q(x):
-        i = integral(x)
+        i = antiderivative(spec, x)
         w_x = evaluate(w_expr, x, env)
         wp_x = evaluate(wp_expr, x, env)
         # relative to W and W', so a tail where I, W and W' decay together

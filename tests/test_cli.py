@@ -6,10 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.integrate
 
 import pseudoherm
-from pseudoherm.cli import DERIVE_SAMPLES, main
+from pseudoherm.cli import main
 from pseudoherm.operators import Grid, build_eta, build_hamiltonian, matrix_to_csv
 from pseudoherm.catalog import get
 from pseudoherm.generator import derive
@@ -98,6 +97,24 @@ def test_derive_csv_output(capsys, tmp_path):
     assert len(lines) == 202
 
 
+def test_verify_constant_w_checks_the_catalog_model(capsys):
+    argv = ("verify", "--model", "constant_w", "--param", "W0=2", "--N", "500")
+    with pytest.warns(UserWarning, match="underresolves"):
+        _, at_zero = run_json(capsys, *argv, "--param", "C0=0")
+        _, shifted = run_json(capsys, *argv, "--param", "C0=5", "--param", "alpha=1")
+    spec = shifted["config"]["resolved_spec"]
+    assert spec["antiderivative"] == "W0 * x + C0"
+    assert spec["params"] == {"W0": 2.0, "C0": 5.0}
+    assert spec["alpha"] == 1.0
+    assert shifted["residuals"]["intertwining"] != at_zero["residuals"]["intertwining"]
+
+
+def test_derive_inline_unbound_parameter_is_a_spec_error(capsys):
+    code, out, err = run(capsys, "derive", "--W=-A*x", "--a", "0.5", "--b", "2")
+    assert code == 2
+    assert "unbound parameter 'A'" in err
+
+
 def test_derive_constant_w(capsys):
     code, report = run_json(
         capsys,
@@ -169,23 +186,28 @@ def test_verify_runs_at_large_n(capsys):
     assert report["residuals"]["eta_hermiticity"] == 0.0
 
 
-def test_inline_w_is_integrated_once_per_sample_array(capsys, monkeypatch):
-    calls = []
-    original = scipy.integrate.quad
-
-    def counted(*args, **kwargs):
-        calls.append(args[1:3])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.integrate, "quad", counted)
-    inline = ("--W=-A*sinh(x)/cosh(x)^2", "--param", "A=4", "--a", "0.5", "--b", "12")
-    code, _, err = run(capsys, "derive", *inline)
-    assert code == 0, err
-    assert len(calls) == DERIVE_SAMPLES
-    calls.clear()
-    code, _, err = run(capsys, "verify", *inline, "--N", "500")
-    assert code in (0, 1), err
-    assert len(calls) == 500
+def test_inline_w_runs_without_scipy_integrate(tmp_path):
+    inline = ["--W=-A*sinh(x)/cosh(x)^2", "--param", "A=4", "--a", "0.5", "--b", "12"]
+    runs = [
+        ["derive", *inline, "--out", str(tmp_path / "derive.json")],
+        ["verify", *inline, "--N", "500", "--out", str(tmp_path / "verify.json")],
+    ]
+    script = (
+        "import json, sys; from pseudoherm.cli import main; "
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+        "print(json.dumps([codes, 'scipy.integrate' in sys.modules]))"
+    )
+    src = os.path.dirname(os.path.dirname(pseudoherm.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    (derive_code, verify_code), loaded = json.loads(done.stdout)
+    assert derive_code == 0, done.stderr
+    assert verify_code in (0, 1), done.stderr
+    assert not loaded
 
 
 def test_cli_import_defers_scipy_integrate():

@@ -1,12 +1,16 @@
 import dataclasses
+import tracemalloc
 import types
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import integrate
 
-from pseudoherm.expressions import EvaluationError
+from pseudoherm.expressions import EvaluationError, evaluate
 from pseudoherm.generator import (
     ConstantWModel,
     GeneratorSpec,
@@ -81,6 +85,65 @@ def test_numeric_antiderivative_matches_closed_form():
     xs = np.linspace(-5.0, 5.0, 100)
     expected = antiderivative(closed, xs) - antiderivative(closed, 0.0)
     assert np.max(np.abs(antiderivative(numeric, xs) - expected)) < 1e-8
+
+
+# the inline generators of the benchmark, with the parameter values it draws
+INLINE_W = {
+    "-A*sinh(x)/cosh(x)^2": ("A", (3.0, 4.0, 5.0)),
+    "-xi*exp(-x)": ("xi", (0.5, 1.0, 2.0)),
+    "4*sin(2*x)/(3*(cos(x)^2-4/3)^2)": (None, (None,)),
+}
+
+
+@st.composite
+def inline_samples(draw):
+    W = draw(st.sampled_from(sorted(INLINE_W)))
+    name, values = INLINE_W[W]
+    value = draw(st.sampled_from(values))
+    a = draw(st.floats(-12.0, 12.0))
+    b = draw(st.floats(a, 12.0))
+    xs = np.linspace(a, b, draw(st.integers(1, 60)))
+    return GeneratorSpec(W=W, env={} if name is None else {name: value}), xs
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@settings(max_examples=60, deadline=None)
+@given(inline_samples())
+def test_numeric_antiderivative_matches_quad(sample):
+    spec, xs = sample
+
+    def w(t):
+        return evaluate(spec.W, t, spec.env)
+
+    # one independent integral from 0 per point, so the reference carries
+    # no accumulated rounding of its own
+    reference = np.array(
+        [integrate.quad(w, 0.0, x, epsabs=1e-13, epsrel=1e-13, limit=200)[0] for x in xs]
+    )
+    got = antiderivative(spec, xs)
+    assert np.max(np.abs(got - reference) / np.maximum(1.0, np.abs(reference))) <= 1e-12
+
+
+def test_numeric_antiderivative_memory_stays_bounded_on_long_windows():
+    # panels widen on long windows; at the narrowest panel width this grid
+    # would take about 60 MB of nodes and samples
+    spec = GeneratorSpec(W="1")
+    xs = np.linspace(-2000.0, 2000.0, 1001)
+    tracemalloc.start()
+    try:
+        values = antiderivative(spec, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_allclose(values, xs, rtol=1e-14)
+    assert peak < 30e6
+
+
+def test_unbound_parameter_is_a_spec_error():
+    with pytest.raises(SpecError, match="unbound parameter 'A'"):
+        GeneratorSpec(W="-A*x")
+    with pytest.raises(SpecError, match="unbound parameter 'B'"):
+        GeneratorSpec(W="-A*x", antiderivative="-B*x^2/2", env={"A": 1.0})
 
 
 def test_antiderivative_validation_rejects_mismatch():
