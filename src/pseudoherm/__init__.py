@@ -28,18 +28,14 @@ from .expressions import (
     to_source,
 )
 from .generator import (
-    ConstantWModel,
     DerivedModel,
     GeneratorSpec,
     GZeroError,
     QuadratureError,
-    RiccatiSolution,
     SpecError,
     antiderivative,
-    constant_w_effective,
     derive,
     effective_potential,
-    riccati_F,
     spec_to_config,
 )
 from .operators import (

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expressions import parse
-from .generator import ConstantWModel, GeneratorSpec, SpecError
+from .generator import GeneratorSpec, SpecError
 from .operators import Grid
 
 PERIODIC_LEVEL_CUTOFF = 8
@@ -33,7 +33,6 @@ class CatalogEntry:
     scarf_s_t: tuple = None
     continuum_threshold: float = None
     solvable: bool = True
-    constant_model: ConstantWModel = None
     notes: str = ""
 
 
@@ -87,13 +86,6 @@ def morse_eigenfunction(xi, z_scale=1j):
         return np.sqrt(z) * np.exp(-z / 2.0)
 
     return psi
-
-
-def periodic_effective_closed_form(x):
-    """-6/(cos x + 2i sin x)^2, the compact form of the periodic V + iW."""
-    x = np.asarray(x, dtype=float)
-    value = -6.0 / (np.cos(x) + 2j * np.sin(x)) ** 2
-    return complex(value) if value.ndim == 0 else value
 
 
 def _scarf2(env):
@@ -166,6 +158,8 @@ def _morse(env):
 
 def _constant_w(env):
     W0, C0 = float(env["W0"]), float(env["C0"])
+    if W0 == 0.0:
+        raise SpecError("constant generator requires W0 != 0")
     alpha, beta = float(env.get("alpha", 0.0)), float(env.get("beta", 0.0))
     return dict(
         spec=GeneratorSpec(
@@ -179,7 +173,6 @@ def _constant_w(env):
         analytic_levels=(),
         grid=Grid(-20.0, 20.0, 2000),
         solvable=False,
-        constant_model=ConstantWModel(W0=W0, C0=C0, alpha=alpha, beta=beta),
         notes="degenerate constant generator; the real part of the"
         " effective potential is unbounded below, so no bound states"
         " exist and no spectrum is asserted",

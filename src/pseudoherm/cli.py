@@ -23,7 +23,7 @@ from .expressions import EvaluationError, ExprSyntaxError, evaluate, to_source
 from .generator import (
     GeneratorSpec,
     SpecError,
-    constant_w_effective,
+    antiderivative,
     derive,
     effective_potential,
     spec_to_config,
@@ -144,11 +144,15 @@ def _check_csv(cfg, available):
 
 
 def _emit(cfg, report, csv_rows=None):
+    """Write the report, or its CSV rows; a report that holds NaN or
+    Infinity is refused in either format, as an evaluation error."""
     _check_csv(cfg, csv_rows is not None)
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise EvaluationError("the report holds a non-finite value (%s)" % exc) from None
     if cfg.fmt == "csv":
         text = "\n".join(",".join(str(v) for v in row) for row in csv_rows) + "\n"
-    else:
-        text = json.dumps(report, indent=2) + "\n"
     if cfg.out:
         with open(cfg.out, "w") as handle:
             handle.write(text)
@@ -192,12 +196,12 @@ def cmd_derive(cfg):
 
 def _derive_constant(cfg, entry, grid):
     xs = np.linspace(grid.a, grid.b, DERIVE_SAMPLES)
-    mask = np.abs(entry.constant_model.W0 * xs + entry.constant_model.C0) > 1e-9
-    veff = constant_w_effective(entry.constant_model, xs[mask])
+    xs = xs[np.abs(antiderivative(entry.spec, xs)) > 1e-9]
+    veff = effective_potential(derive(entry.spec), xs)
     report = {
         "config": _config_dict(cfg, entry.spec, grid),
         "columns": {
-            "x": [float(v) for v in xs[mask]],
+            "x": [float(v) for v in xs],
             "re_Veff": [float(v) for v in veff.real],
             "im_Veff": [float(v) for v in veff.imag],
         },
@@ -205,7 +209,7 @@ def _derive_constant(cfg, entry, grid):
     }
     rows = [["x", "re_Veff", "im_Veff"]] + [
         [repr(float(x)), repr(float(v.real)), repr(float(v.imag))]
-        for x, v in zip(xs[mask], veff)
+        for x, v in zip(xs, veff)
     ]
     _emit(cfg, report, rows)
     return EXIT_OK

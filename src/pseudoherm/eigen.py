@@ -56,7 +56,6 @@ class SpectrumReport:
     residuals: np.ndarray
     reality_flags: np.ndarray
     eigenvectors: np.ndarray
-    grid: object = None
     matches: tuple = field(default_factory=tuple)
     group_sizes: np.ndarray = None
 
@@ -83,13 +82,11 @@ def eig(op):
         scale * np.linalg.norm(vectors, axis=0)
     )
     flags = np.array([is_real_eigenvalue(v) for v in values])
-    grid = op.grid if hasattr(op, "grid") else None
     return SpectrumReport(
         eigenvalues=values,
         residuals=residuals,
         reality_flags=flags,
         eigenvectors=vectors,
-        grid=grid,
     )
 
 
@@ -144,7 +141,6 @@ def merge_split_levels(report):
         residuals=residuals[order],
         reality_flags=np.array([is_real_eigenvalue(v) for v in means], dtype=bool),
         eigenvectors=vectors[:, heads[order]],
-        grid=report.grid,
         matches=report.matches,
         group_sizes=np.bincount(labels, weights=sizes).astype(int)[order],
     )
@@ -172,7 +168,6 @@ def bound_state_filter(report, grid, v_inf):
             residuals=report.residuals[keep],
             reality_flags=report.reality_flags[keep],
             eigenvectors=report.eigenvectors[:, keep],
-            grid=grid,
             group_sizes=None if report.group_sizes is None else report.group_sizes[keep],
         )
     )
@@ -245,11 +240,13 @@ def report_to_dict(report):
     if report.group_sizes is not None:
         data["group_sizes"] = [int(k) for k in report.group_sizes]
     if report.matches:
+        # a level paired with no eigenvalue has eigenvalue and distance null
         data["matches"] = [
             {
                 "level": float(m.level),
-                "eigenvalue": [float(m.eigenvalue.real), float(m.eigenvalue.imag)],
-                "distance": float(m.distance),
+                "eigenvalue": [float(m.eigenvalue.real), float(m.eigenvalue.imag)]
+                if np.isfinite(m.distance) else None,
+                "distance": float(m.distance) if np.isfinite(m.distance) else None,
                 "matched": bool(m.matched),
             }
             for m in report.matches

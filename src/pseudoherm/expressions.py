@@ -228,12 +228,19 @@ def parse(source):
 
 
 def evaluate(expr, x, env=None):
-    """Evaluate at x (scalar or ndarray) with parameters bound from env."""
+    """Evaluate at x (scalar or ndarray) with parameters bound from env.
+
+    A value that overflows to Infinity or NaN raises EvaluationError at the
+    first such x."""
     env = env or {}
-    result = _eval(expr, x, env)
-    if np.isscalar(x) or np.ndim(x) == 0:
+    result = np.asarray(_eval(expr, x, env), dtype=float)
+    finite = np.isfinite(result)
+    if not finite.all():
+        bad = np.broadcast_to(~finite, np.shape(x))
+        raise EvaluationError("non-finite value at x = %g" % _first_offender(x, bad))
+    if np.ndim(x) == 0:
         return float(result)
-    return np.broadcast_to(np.asarray(result, dtype=float), np.shape(x)).copy()
+    return np.broadcast_to(result, np.shape(x)).copy()
 
 
 def _first_offender(x, mask):

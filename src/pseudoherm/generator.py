@@ -8,10 +8,9 @@ alpha, beta, this produces
     Q = W'/(2I) - (W/(2I))^2 + alpha/I^2
     V = Q - G^2 + beta
 
-together with the coefficient functions of the second-order metric
-operator, c1 = -2iG and c0 = Q + G^2 - iG'.  The pipeline is undefined
-where I vanishes; such points raise a domain error instead of returning
-infinities.
+and G' = -W/2.  operators.build_eta builds the second-order metric operator
+eta from G and Q.  The pipeline is undefined where I vanishes; such points
+raise a domain error instead of returning infinities.
 """
 
 from dataclasses import dataclass, field
@@ -35,7 +34,6 @@ QUADRATURE_TOL = 1e-10
 QUADRATURE_PANEL = 0.05
 QUADRATURE_ORDER = 10
 QUADRATURE_MAX_PANELS = 2**14
-RICCATI_BLOWUP = 1e8
 
 
 class SpecError(ValueError):
@@ -166,8 +164,6 @@ class DerivedModel:
     Q: object
     V: object
     W: object
-    eta_c0: object
-    eta_c1: object
 
 
 def derive(spec):
@@ -208,109 +204,9 @@ def derive(spec):
     def v(x):
         return q(x) - g(x) ** 2 + spec.beta
 
-    def eta_c0(x):
-        return q(x) + g(x) ** 2 - 1j * g_prime(x)
-
-    def eta_c1(x):
-        return -2j * g(x)
-
-    return DerivedModel(
-        spec=spec, G=g, Gp=g_prime, Q=q, V=v, W=w, eta_c0=eta_c0, eta_c1=eta_c1
-    )
+    return DerivedModel(spec=spec, G=g, Gp=g_prime, Q=q, V=v, W=w)
 
 
 def effective_potential(model, x):
     """V(x) + iW(x)."""
     return model.V(x) + 1j * model.W(x)
-
-
-@dataclass(frozen=True)
-class ConstantWModel:
-    """Constant generator W(x) = W0: the pipeline degenerates to a closed
-    form whose real part is unbounded below, so no bound states exist."""
-
-    W0: float
-    C0: float
-    alpha: float = 0.0
-    beta: float = 0.0
-
-    def __post_init__(self):
-        if self.W0 == 0.0:
-            raise SpecError("constant generator requires W0 != 0")
-
-
-def constant_w_effective(model, x):
-    """Effective potential of the constant-W degenerate case."""
-    u = model.W0 * np.asarray(x, dtype=float) + model.C0
-    bad = np.abs(u) < ANTIDERIVATIVE_ZERO_TOL
-    if np.any(bad):
-        raise GZeroError(
-            "pole of the constant-W effective potential at x = %g"
-            % (-model.C0 / model.W0)
-        )
-    value = (
-        (model.alpha - model.W0**2 / 4.0) / u**2
-        - 0.25 * u**2
-        + 1j * model.W0
-        + model.beta
-    )
-    return complex(value) if np.ndim(x) == 0 else value
-
-
-@dataclass(frozen=True)
-class RiccatiSolution:
-    """Samples of F along the requested grid; blew_up marks an early stop."""
-
-    x: np.ndarray
-    F: np.ndarray
-    blew_up: bool
-
-
-def riccati_F(model, x0, F0, xs):
-    """Integrate F' = F^2 - Q from (x0, F0) across the sorted sample grid xs.
-
-    Integration stops where |F| reaches 1e8; the partial samples are
-    returned with blew_up set.  Only Q enters the metric construction, so
-    this is a diagnostic, not part of the verification path.
-    """
-    from scipy import integrate
-
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1 or xs.size == 0 or np.any(np.diff(xs) <= 0):
-        raise SpecError("riccati_F needs a strictly increasing sample grid")
-    if not (xs[0] <= x0 <= xs[-1]):
-        raise SpecError("x0 must lie inside the sample grid")
-
-    def rhs(t, y):
-        return [y[0] ** 2 - model.Q(t)]
-
-    def blowup(t, y):
-        return abs(y[0]) - RICCATI_BLOWUP
-
-    blowup.terminal = True
-
-    collected_x = []
-    collected_f = []
-    blew_up = False
-    for t_eval in (xs[xs < x0][::-1], xs[xs >= x0]):
-        if t_eval.size == 0:
-            continue
-        sol = integrate.solve_ivp(
-            rhs,
-            (x0, t_eval[-1]),
-            [F0],
-            t_eval=t_eval,
-            events=blowup,
-            method="RK45",
-            rtol=1e-10,
-            atol=1e-12,
-        )
-        collected_x.append(sol.t)
-        collected_f.append(sol.y[0])
-        blew_up = blew_up or sol.status == 1
-    order = np.argsort(np.concatenate(collected_x))
-    return RiccatiSolution(
-        x=np.concatenate(collected_x)[order],
-        F=np.concatenate(collected_f)[order],
-        blew_up=blew_up,
-    )

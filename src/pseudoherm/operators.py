@@ -38,6 +38,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
+        if not (np.isfinite(self.a) and np.isfinite(self.b)):
+            raise SpecError("grid needs finite ends, got [%g, %g]" % (self.a, self.b))
         if not self.a < self.b:
             raise SpecError("grid needs a < b, got [%g, %g]" % (self.a, self.b))
         if self.n < 3:

@@ -16,7 +16,7 @@ import pytest
 from pseudoherm.catalog import get, morse_eigenfunction, periodic_eigenfunction
 from pseudoherm.eigen import bound_state_filter, eig, eigenfunction_residual, match_levels
 from pseudoherm.expressions import evaluate
-from pseudoherm.generator import ConstantWModel, constant_w_effective, derive
+from pseudoherm.generator import derive, effective_potential
 from pseudoherm.operators import (
     Grid,
     build_eta,
@@ -235,18 +235,15 @@ def test_criterion_07_morse_bound_state(morse_states, pipelines):
 
 
 def test_criterion_08_constant_generator_degenerate_case():
-    model = ConstantWModel(W0=2.0, C0=0.0)
+    spec = get("constant_w", {"W0": 2.0, "C0": 0.0}).spec
+    model = derive(spec)
+    W0, C0 = spec.env["W0"], spec.env["C0"]
     x = np.linspace(-20.0, 20.0, 100)  # even count, so the pole at 0 is never sampled
-    got = constant_w_effective(model, x)
-    u = model.W0 * x + model.C0
-    want = (
-        (model.alpha - model.W0**2 / 4.0) / u**2
-        - 0.25 * u**2
-        + 1j * model.W0
-        + model.beta
-    )
+    got = effective_potential(model, x)
+    u = W0 * x + C0
+    want = (spec.alpha - W0**2 / 4.0) / u**2 - 0.25 * u**2 + 1j * W0 + spec.beta
     diff = float(np.max(np.abs(got - want)))
-    ends = constant_w_effective(model, np.array([-20.0, 20.0])).real
+    ends = effective_potential(model, np.array([-20.0, 20.0])).real
     checks = [
         (diff <= 1e-12, "formula max|diff| %.2e (tol 1e-12)" % diff),
         (

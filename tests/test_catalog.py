@@ -6,7 +6,6 @@ from pseudoherm.catalog import (
     MODEL_NAMES,
     get,
     morse_eigenfunction,
-    periodic_effective_closed_form,
     periodic_eigenfunction,
     scarf_levels,
     scarf_parameters,
@@ -126,9 +125,9 @@ def test_periodic_effective_potential_cross_check():
     entry = get("periodic")
     model = derive(entry.spec)
     xs = np.linspace(-3.0, 3.0, 80)
-    closed = periodic_effective_closed_form(xs)
+    closed = -6.0 / (np.cos(xs) + 2j * np.sin(xs)) ** 2
     assert np.max(np.abs(effective_potential(model, xs) - closed)) < 1e-10
-    assert periodic_effective_closed_form(0.0) == pytest.approx(-6.0 + 0j, abs=1e-14)
+    assert effective_potential(model, 0.0) == pytest.approx(-6.0 + 0j, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +175,17 @@ def test_constant_w_entry_is_flagged():
     entry = get("constant_w", {"W0": 2.0, "C0": 0.0})
     assert not entry.solvable
     assert entry.analytic_levels == ()
-    assert entry.constant_model.W0 == 2.0
+    assert entry.spec.env["W0"] == 2.0
 
 
 def test_constant_w_requires_both_parameters():
     with pytest.raises(SpecError, match="requires parameter"):
         get("constant_w", {"W0": 2.0})
+
+
+def test_constant_w_requires_nonzero_w0():
+    with pytest.raises(SpecError, match="W0 != 0"):
+        get("constant_w", {"W0": 0.0, "C0": 1.0})
 
 
 def test_recommended_grids():

@@ -388,6 +388,49 @@ def test_derive_inline_odd_w_flags_double_zero_of_antiderivative(capsys):
     assert "vanishes" in err
 
 
+def test_verify_rejects_an_infinite_grid_end(capsys):
+    code, out, err = run(
+        capsys, "verify", "--model", "scarf2", "--param", "A=4", "--b", "inf", "--N", "10"
+    )
+    assert code == 2
+    assert out == ""
+    assert "finite ends" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--model", "scarf2", "--param", "A=4", "--a", "700", "--b", "720", "--N", "10"),
+        ("--W=1e999",),
+        # W and I are finite, but G^2 overflows inside derive, in either format
+        ("--W=1e200*x", "--antideriv", "5e199*x^2", "--a", "0.5", "--b", "2", "--N", "10"),
+        ("--W=1e200*x", "--antideriv", "5e199*x^2", "--a", "0.5", "--b", "2", "--N", "10",
+         "--format", "csv"),
+    ],
+    ids=["sinh_overflow", "infinite_constant", "report_json", "report_csv"],
+)
+def test_derive_non_finite_value_is_a_domain_error(capsys, argv):
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, "derive", *argv)
+    assert code == 3
+    assert out == ""
+    assert "non-finite value" in err
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise AssertionError("report holds %s" % token)
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_spectrum_unmatched_level_reads_null(capsys):
+    code, out, err = run(capsys, "spectrum", "--model", "morse", "--param", "xi=1", "--N", "300")
+    assert code == 1
+    match = _strict_json(out)["bound_states"]["matches"][0]
+    assert match == {"level": -0.25, "eigenvalue": None, "distance": None, "matched": False}
+
+
 # ---------------------------------------------------------------------------
 # report formats and external input
 

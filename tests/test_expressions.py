@@ -167,6 +167,20 @@ def test_sqrt_of_negative_rejected():
         evaluate(parse("sqrt(x)"), -1.0)
 
 
+@pytest.mark.parametrize(
+    "source,x,where",
+    [
+        ("sinh(x)/cosh(x)^2", np.array([1.0, 709.0, 720.0, 730.0]), "x = 720"),
+        ("1e999", np.array([1.0, 2.0]), "x = 1"),
+        ("exp(x)", 800.0, "x = 800"),
+    ],
+    ids=["overflow_in_array", "infinite_constant", "scalar"],
+)
+def test_non_finite_value_reports_x(source, x, where):
+    with np.errstate(all="ignore"), pytest.raises(EvaluationError, match=where):
+        evaluate(parse(source), x)
+
+
 def test_free_parameters_collects_names():
     assert free_parameters(parse("-A*sinh(x)/cosh(x)^2 + B*x")) == {"A", "B"}
 

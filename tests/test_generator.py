@@ -1,6 +1,5 @@
 import dataclasses
 import tracemalloc
-import types
 import warnings
 
 import numpy as np
@@ -12,16 +11,13 @@ from scipy import integrate
 
 from pseudoherm.expressions import EvaluationError, evaluate
 from pseudoherm.generator import (
-    ConstantWModel,
     GeneratorSpec,
     GZeroError,
     QuadratureError,
     SpecError,
     antiderivative,
-    constant_w_effective,
     derive,
     effective_potential,
-    riccati_F,
     spec_to_config,
 )
 
@@ -44,6 +40,16 @@ def periodic_spec(**kw):
         alpha=0.0,
         beta=1.0,
         **kw,
+    )
+
+
+def constant_spec(W0=2.0, C0=0.0, alpha=0.0, beta=0.0):
+    return GeneratorSpec(
+        W="W0",
+        antiderivative="W0*x + C0",
+        alpha=alpha,
+        beta=beta,
+        env={"W0": W0, "C0": C0},
     )
 
 
@@ -218,18 +224,6 @@ def test_alpha_shift_law(spec, xs):
     assert np.max(np.abs(delta - expected) / np.maximum(1.0, np.abs(expected))) < 1e-10
 
 
-@pytest.mark.parametrize("spec,xs", ALL_SPECS)
-def test_eta_coefficients_wired_from_g_and_q(spec, xs):
-    model = derive(spec)
-    assert_allclose(model.eta_c1(xs), -2j * model.G(xs), rtol=0, atol=0)
-    assert_allclose(
-        model.eta_c0(xs),
-        model.Q(xs) + model.G(xs) ** 2 - 1j * model.Gp(xs),
-        rtol=0,
-        atol=0,
-    )
-
-
 # ---------------------------------------------------------------------------
 # effective potentials
 
@@ -252,76 +246,28 @@ def test_periodic_effective_potential_closed_form():
 
 
 def test_constant_w_first_term_vanishes():
-    model = ConstantWModel(W0=2.0, C0=0.0, alpha=1.0, beta=0.0)
+    model = derive(constant_spec(W0=2.0, C0=0.0, alpha=1.0, beta=0.0))
     xs = np.array([0.5, 1.0, 3.0])
     assert_allclose(
-        constant_w_effective(model, xs), -xs**2 + 2j, rtol=0, atol=1e-14
+        effective_potential(model, xs), -xs**2 + 2j, rtol=0, atol=1e-14
     )
 
 
 def test_constant_w_spot_value():
-    model = ConstantWModel(W0=2.0, C0=0.0)
-    assert constant_w_effective(model, 1.0) == pytest.approx(-1.25 + 2j, abs=1e-14)
+    model = derive(constant_spec(W0=2.0, C0=0.0))
+    assert effective_potential(model, 1.0) == pytest.approx(-1.25 + 2j, abs=1e-14)
 
 
 def test_constant_w_real_part_unbounded_below():
-    model = ConstantWModel(W0=2.0, C0=1.0, alpha=3.0, beta=5.0)
-    assert constant_w_effective(model, 40.0).real < -1000.0
-    assert constant_w_effective(model, -40.0).real < -1000.0
-
-
-def test_constant_w_requires_nonzero_w0():
-    with pytest.raises(SpecError):
-        ConstantWModel(W0=0.0, C0=1.0)
+    model = derive(constant_spec(W0=2.0, C0=1.0, alpha=3.0, beta=5.0))
+    assert effective_potential(model, 40.0).real < -1000.0
+    assert effective_potential(model, -40.0).real < -1000.0
 
 
 def test_constant_w_pole_is_reported():
-    model = ConstantWModel(W0=2.0, C0=-4.0)
+    model = derive(constant_spec(W0=2.0, C0=-4.0))
     with pytest.raises(GZeroError, match="x = 2"):
-        constant_w_effective(model, 2.0)
-
-
-# ---------------------------------------------------------------------------
-# Riccati diagnostic
-
-
-def test_riccati_zero_q_fixed_point():
-    model = types.SimpleNamespace(Q=lambda t: 0.0)
-    sol = riccati_F(model, 0.0, 0.0, np.linspace(0.0, 5.0, 51))
-    assert not sol.blew_up
-    assert np.max(np.abs(sol.F)) < 1e-12
-
-
-def test_riccati_constant_q_gives_minus_tanh():
-    model = types.SimpleNamespace(Q=lambda t: 1.0)
-    xs = np.linspace(-2.0, 3.0, 101)
-    sol = riccati_F(model, 0.0, 0.0, xs)
-    assert not sol.blew_up
-    assert_allclose(sol.F, -np.tanh(sol.x), rtol=0, atol=1e-8)
-
-
-def test_riccati_scarf_defect():
-    model = derive(scarf_spec(A=2.0))
-    xs = np.linspace(-2.0, 2.0, 4001)
-    f0 = 0.5 * np.tanh(-2.0)  # seed on the globally smooth branch tanh(x)/2
-    sol = riccati_F(model, -2.0, f0, xs)
-    f = sol.F
-    fp = (f[2:] - f[:-2]) / (sol.x[2] - sol.x[0])
-    defect = f[1:-1] ** 2 - fp - model.Q(sol.x[1:-1])
-    assert np.max(np.abs(defect)) < 1e-6
-
-
-def test_riccati_blowup_flagged():
-    model = types.SimpleNamespace(Q=lambda t: -1.0)
-    sol = riccati_F(model, 0.0, 0.0, np.linspace(0.0, 3.0, 61))
-    assert sol.blew_up
-    assert sol.x.size < 61
-
-
-def test_riccati_rejects_unsorted_grid():
-    model = types.SimpleNamespace(Q=lambda t: 0.0)
-    with pytest.raises(SpecError):
-        riccati_F(model, 0.0, 0.0, np.array([0.0, 2.0, 1.0]))
+        effective_potential(model, 2.0)
 
 
 # ---------------------------------------------------------------------------
