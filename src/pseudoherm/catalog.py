@@ -7,6 +7,9 @@ eigenfunction formulas where available, and a recommended grid.  The morse
 reference ground state does not decay on it: it grows like e^(-x/2)
 towards the left end, so its level is not an eigenvalue of the Dirichlet
 problem on the real line.
+
+MODELS names each model's parameters; get requires all of them and refuses
+any other.  alpha and beta are not parameters: they are set on the spec.
 """
 
 import functools
@@ -160,14 +163,9 @@ def _constant_w(env):
     W0, C0 = float(env["W0"]), float(env["C0"])
     if W0 == 0.0:
         raise SpecError("constant generator requires W0 != 0")
-    alpha, beta = float(env.get("alpha", 0.0)), float(env.get("beta", 0.0))
     return dict(
         spec=GeneratorSpec(
-            W="W0",
-            antiderivative="W0*x + C0",
-            alpha=alpha,
-            beta=beta,
-            env={"W0": W0, "C0": C0},
+            W="W0", antiderivative="W0*x + C0", env={"W0": W0, "C0": C0}
         ),
         analytic_V=None,
         analytic_levels=(),
@@ -179,8 +177,8 @@ def _constant_w(env):
     )
 
 
-# name -> (required parameters, builder); a builder reads its parameters
-# from env and returns the entry's fields other than its name.
+# name -> (parameters, builder); a builder reads its parameters from env
+# and returns the entry's fields other than its name.
 MODELS = {
     "scarf2": (("A",), _scarf2),
     "periodic": ((), _periodic),
@@ -192,7 +190,7 @@ MODEL_NAMES = tuple(MODELS)
 
 
 def get(name, env=None):
-    """Look up a catalog entry; env binds the model's parameters."""
+    """Look up a catalog entry; env binds exactly the model's parameters."""
     env = env or {}
     if name not in MODELS:
         raise SpecError(
@@ -202,4 +200,7 @@ def get(name, env=None):
     for param in required:
         if param not in env:
             raise SpecError("model '%s' requires parameter '%s'" % (name, param))
+    for param in env:
+        if param not in required:
+            raise SpecError("model '%s' takes no parameter '%s'" % (name, param))
     return CatalogEntry(name=name, **build(env))

@@ -5,6 +5,11 @@ Subcommands: derive (sample the pipeline functions over a grid), verify
 (dense eigensolve with bound-state filtering and analytic matching), and
 catalog (list/show the ready-made models).
 
+A run takes one path: argparse fills a RunConfig (each option's dest is a
+field, and a subcommand takes only the options it reads), _resolve builds
+the spec and grid the same way for catalog and inline models, and _emit
+writes the report as JSON or, from a column table, as CSV.
+
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 bad
 specification or arguments, 3 evaluation-domain error, 4 eigensolver
 failure.  Every report embeds the resolved configuration that produced it.
@@ -78,51 +83,35 @@ def _parse_params(pairs):
 
 
 def _config_from_args(args):
-    cfg = RunConfig(command=args.command)
-    for name in (
-        "model", "W", "antideriv", "alpha", "beta", "a", "b", "N",
-        "out", "tol_intertwine", "tol_level", "sweep", "H_csv", "eta_csv", "name",
-    ):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "format") and args.format:
-        cfg.fmt = args.format
-    if hasattr(args, "param"):
-        cfg.params = _parse_params(args.param)
-    return cfg
+    """RunConfig from the parsed options; a field whose option is not given
+    keeps its default."""
+    given = {name: value for name, value in vars(args).items() if value is not None}
+    given["params"] = _parse_params(given.get("params"))
+    return RunConfig(**given)
 
 
 def _resolve(cfg):
-    """Turn a RunConfig into (entry-or-None, spec, grid)."""
+    """Turn a RunConfig into (entry-or-None, spec, grid): the catalog entry
+    or the inline spec, with --alpha/--beta and --a/--b/--N applied to
+    either in the same way."""
     if bool(cfg.model) == bool(cfg.W):
         raise SpecError("exactly one of --model and --W must be given")
     if cfg.model:
         entry = catalog.get(cfg.model, cfg.params)
-        spec = entry.spec
-        if cfg.alpha is not None or cfg.beta is not None:
-            spec = dataclasses.replace(
-                spec,
-                alpha=spec.alpha if cfg.alpha is None else cfg.alpha,
-                beta=spec.beta if cfg.beta is None else cfg.beta,
-            )
-        grid = entry.grid
+        spec, grid = entry.spec, entry.grid
     else:
         entry = None
-        spec = GeneratorSpec(
-            W=cfg.W,
-            antiderivative=cfg.antideriv,
-            alpha=cfg.alpha if cfg.alpha is not None else 0.0,
-            beta=cfg.beta if cfg.beta is not None else 0.0,
-            env=cfg.params,
-        )
+        spec = GeneratorSpec(W=cfg.W, antiderivative=cfg.antideriv, env=cfg.params)
         grid = DEFAULT_GRID
-    overrides = {}
-    if cfg.a is not None:
-        overrides["a"] = cfg.a
-    if cfg.b is not None:
-        overrides["b"] = cfg.b
-    if cfg.N is not None:
-        overrides["n"] = int(cfg.N)
+    # a new spec re-runs its antiderivative check, so only when asked for
+    if cfg.alpha is not None or cfg.beta is not None:
+        spec = dataclasses.replace(
+            spec,
+            alpha=spec.alpha if cfg.alpha is None else cfg.alpha,
+            beta=spec.beta if cfg.beta is None else cfg.beta,
+        )
+    given = (("a", cfg.a), ("b", cfg.b), ("n", cfg.N))
+    overrides = {name: value for name, value in given if value is not None}
     if overrides:
         grid = dataclasses.replace(grid, **overrides)
     return entry, spec, grid
@@ -143,16 +132,27 @@ def _check_csv(cfg, available):
         raise SpecError("--format csv is not available for this report")
 
 
-def _emit(cfg, report, csv_rows=None):
-    """Write the report, or its CSV rows; a report that holds NaN or
-    Infinity is refused in either format, as an evaluation error."""
-    _check_csv(cfg, csv_rows is not None)
+def _cell(value):
+    if isinstance(value, bool):
+        return str(int(value))
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def _emit(cfg, report, table=None):
+    """Write the report as JSON, or as CSV from its column table (name ->
+    list): a header row, then one row per entry with floats through repr,
+    bools as 0/1 and strings as they are.  A report without a table has no
+    CSV form.  A report that holds NaN or Infinity is refused in either
+    format, as an evaluation error."""
+    _check_csv(cfg, table is not None)
     try:
         text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise EvaluationError("the report holds a non-finite value (%s)" % exc) from None
     if cfg.fmt == "csv":
-        text = "\n".join(",".join(str(v) for v in row) for row in csv_rows) + "\n"
+        rows = [",".join(table)]
+        rows += [",".join(map(_cell, row)) for row in zip(*table.values())]
+        text = "\n".join(rows) + "\n"
     if cfg.out:
         with open(cfg.out, "w") as handle:
             handle.write(text)
@@ -163,7 +163,7 @@ def _emit(cfg, report, csv_rows=None):
 def cmd_derive(cfg):
     entry, spec, grid = _resolve(cfg)
     if entry is not None and not entry.solvable:
-        return _derive_constant(cfg, entry, grid)
+        return _derive_constant(cfg, entry, spec, grid)
     model = derive(spec)
     xs = np.linspace(grid.a + grid.h, grid.b - grid.h, DERIVE_SAMPLES)
     veff = effective_potential(model, xs)
@@ -186,20 +186,16 @@ def cmd_derive(cfg):
             np.max(np.abs(table["V"] - reference) / np.maximum(1.0, np.abs(reference)))
         )
         report["analytic_V_residual"] = residual
-    header = list(table)
-    rows = [header] + [
-        [repr(float(table[k][i])) for k in header] for i in range(len(xs))
-    ]
-    _emit(cfg, report, rows)
+    _emit(cfg, report, report["columns"])
     return EXIT_OK
 
 
-def _derive_constant(cfg, entry, grid):
+def _derive_constant(cfg, entry, spec, grid):
     xs = np.linspace(grid.a, grid.b, DERIVE_SAMPLES)
-    xs = xs[np.abs(antiderivative(entry.spec, xs)) > 1e-9]
-    veff = effective_potential(derive(entry.spec), xs)
+    xs = xs[np.abs(antiderivative(spec, xs)) > 1e-9]
+    veff = effective_potential(derive(spec), xs)
     report = {
-        "config": _config_dict(cfg, entry.spec, grid),
+        "config": _config_dict(cfg, spec, grid),
         "columns": {
             "x": [float(v) for v in xs],
             "re_Veff": [float(v) for v in veff.real],
@@ -207,11 +203,7 @@ def _derive_constant(cfg, entry, grid):
         },
         "notes": entry.notes,
     }
-    rows = [["x", "re_Veff", "im_Veff"]] + [
-        [repr(float(x)), repr(float(v.real)), repr(float(v.imag))]
-        for x, v in zip(xs, veff)
-    ]
-    _emit(cfg, report, rows)
+    _emit(cfg, report, report["columns"])
     return EXIT_OK
 
 
@@ -241,9 +233,11 @@ def cmd_verify(cfg):
         "tolerance": cfg.tol_intertwine,
         "status": "PASS" if passed else "FAIL",
     }
-    rows = [["check", "residual"]] + [[k, repr(v)] for k, v in residuals.items()]
-    rows.append(["status", report["status"]])
-    _emit(cfg, report, rows)
+    table = {
+        "check": [*residuals, "status"],
+        "residual": [*residuals.values(), report["status"]],
+    }
+    _emit(cfg, report, table)
     return EXIT_OK if passed else EXIT_FAIL
 
 
@@ -254,21 +248,25 @@ def _verify_external(cfg):
         operators.matrix_from_csv(cfg.H_csv), operators.matrix_from_csv(cfg.eta_csv)
     )
     report = {"config": _config_dict(cfg), "residuals": residuals}
-    rows = [["check", "residual"]] + [[k, repr(v)] for k, v in residuals.items()]
-    _emit(cfg, report, rows)
+    _emit(cfg, report, {"check": list(residuals), "residual": list(residuals.values())})
     return EXIT_OK
 
 
-def _sweep_values(cfg):
+def _sweep_runs(cfg):
+    """(config, sweep value) per run: cfg alone, or one per --sweep value."""
     if not cfg.sweep:
-        return [None]
+        return [(cfg, None)]
     name, sep, values = cfg.sweep.partition("=")
     if not sep or not values:
         raise SpecError("--sweep wants NAME=v1,v2,..., got '%s'" % cfg.sweep)
     try:
-        return [(name, float(v)) for v in values.split(",")]
+        values = [float(v) for v in values.split(",")]
     except ValueError:
         raise SpecError("non-numeric sweep value in '%s'" % cfg.sweep)
+    return [
+        (dataclasses.replace(cfg, params={**cfg.params, name: v}, sweep=None), {name: v})
+        for v in values
+    ]
 
 
 def _spectrum_once(cfg):
@@ -299,41 +297,34 @@ def _spectrum_once(cfg):
             dataclasses.replace(filtered, matches=matches)
         )
         data["continuum_threshold"] = entry.continuum_threshold
-    passed = all(m.matched for m in matches)
     if matches:
-        data["all_levels_matched"] = passed
-    return data, subject, passed
+        data["all_levels_matched"] = all(m.matched for m in matches)
+    return data
 
 
 def cmd_spectrum(cfg):
-    sweeps = _sweep_values(cfg)
-    _check_csv(cfg, len(sweeps) == 1)
+    runs = _sweep_runs(cfg)
+    _check_csv(cfg, len(runs) == 1)
     reports = []
-    all_passed = True
-    for item in sweeps:
-        run_cfg = cfg
-        if item is not None:
-            name, value = item
-            run_cfg = dataclasses.replace(
-                cfg, params={**cfg.params, name: value}, sweep=None
-            )
-        data, subject, passed = _spectrum_once(run_cfg)
-        if item is not None:
-            data["sweep_value"] = {item[0]: item[1]}
-        reports.append((data, subject))
-        all_passed = all_passed and passed
+    for run_cfg, sweep_value in runs:
+        data = _spectrum_once(run_cfg)
+        if sweep_value is not None:
+            data["sweep_value"] = sweep_value
+        reports.append(data)
     if len(reports) == 1:
-        report, subject = reports[0]
-        rows = [["re", "im", "residual", "real_flag"]] + [
-            [repr(float(v.real)), repr(float(v.imag)), repr(float(r)), int(f)]
-            for v, r, f in zip(
-                subject.eigenvalues, subject.residuals, subject.reality_flags
-            )
-        ]
-        _emit(cfg, report, rows)
+        (report,) = reports
+        listed = report.get("bound_states", report["spectrum"])
+        table = {
+            "re": [re for re, _ in listed["eigenvalues"]],
+            "im": [im for _, im in listed["eigenvalues"]],
+            "residual": listed["residuals"],
+            "real_flag": listed["reality_flags"],
+        }
+        _emit(cfg, report, table)
     else:
-        _emit(cfg, [data for data, _ in reports])
-    return EXIT_OK if all_passed else EXIT_FAIL
+        _emit(cfg, reports)
+    passed = all(data.get("all_levels_matched", True) for data in reports)
+    return EXIT_OK if passed else EXIT_FAIL
 
 
 def cmd_catalog(cfg):
@@ -369,26 +360,9 @@ def cmd_catalog(cfg):
     return EXIT_OK
 
 
-def _add_common(parser, spectrum=False):
-    parser.add_argument("--model", help="catalog model name")
-    parser.add_argument("--W", help="inline generator expression")
-    parser.add_argument("--antideriv", help="closed-form antiderivative of W")
-    parser.add_argument(
-        "--param", action="append", metavar="NAME=VALUE", help="bind a parameter"
-    )
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--a", type=float, help="left end of the grid")
-    parser.add_argument("--b", type=float, help="right end of the grid")
-    parser.add_argument("--N", type=int, help="interior grid points")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+def _add_output(parser):
+    parser.add_argument("--format", dest="fmt", choices=("json", "csv"))
     parser.add_argument("--out", help="write the report here instead of stdout")
-    parser.add_argument("--tol-intertwine", type=float, dest="tol_intertwine")
-    parser.add_argument("--tol-level", type=float, dest="tol_level")
-    if spectrum:
-        parser.add_argument(
-            "--sweep", metavar="NAME=v1,v2,...", help="repeat over parameter values"
-        )
 
 
 def build_parser():
@@ -397,18 +371,38 @@ def build_parser():
         description="Derive, verify, and diagonalize models whose imaginary"
         " potential part generates the real part through a metric operator.",
     )
+    # model, grid and output options, shared by derive, verify and spectrum
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--model", help="catalog model name")
+    shared.add_argument("--W", help="inline generator expression")
+    shared.add_argument("--antideriv", help="closed-form antiderivative of W")
+    shared.add_argument(
+        "--param", action="append", dest="params", metavar="NAME=VALUE",
+        help="bind a parameter",
+    )
+    shared.add_argument("--alpha", type=float)
+    shared.add_argument("--beta", type=float)
+    shared.add_argument("--a", type=float, help="left end of the grid")
+    shared.add_argument("--b", type=float, help="right end of the grid")
+    shared.add_argument("--N", type=int, help="interior grid points")
+    _add_output(shared)
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_common(sub.add_parser("derive", help="sample the derived functions"))
-    verify = sub.add_parser("verify", help="residuals of the defining identities")
-    _add_common(verify)
-    verify.add_argument("--H-csv", dest="H_csv", help="external Hamiltonian CSV")
-    verify.add_argument("--eta-csv", dest="eta_csv", help="external metric CSV")
-    _add_common(sub.add_parser("spectrum", help="dense eigensolve"), spectrum=True)
+    sub.add_parser("derive", parents=[shared], help="sample the derived functions")
+    verify = sub.add_parser(
+        "verify", parents=[shared], help="residuals of the defining identities"
+    )
+    verify.add_argument("--tol-intertwine", type=float)
+    verify.add_argument("--H-csv", help="external Hamiltonian CSV")
+    verify.add_argument("--eta-csv", help="external metric CSV")
+    spectrum = sub.add_parser("spectrum", parents=[shared], help="dense eigensolve")
+    spectrum.add_argument("--tol-level", type=float)
+    spectrum.add_argument(
+        "--sweep", metavar="NAME=v1,v2,...", help="repeat over parameter values"
+    )
     cat = sub.add_parser("catalog", help="list or show ready-made models")
     cat.add_argument("name", nargs="?", help="entry to show; omit to list")
-    cat.add_argument("--param", action="append", metavar="NAME=VALUE")
-    cat.add_argument("--format", choices=("json", "csv"), default="json")
-    cat.add_argument("--out")
+    cat.add_argument("--param", action="append", dest="params", metavar="NAME=VALUE")
+    _add_output(cat)
     return parser
 
 

@@ -99,13 +99,12 @@ def merge_split_levels(report):
     converges (Kato, Perturbation Theory for Linear Operators).  Eigenvalues
     at most SPLIT_WINDOW apart whose unit right eigenvectors have
     1 - |<v, w>| <= TAU_PARALLEL form one group.  Eigenvectors are compared
-    only for such nearby pairs.  A group is reported at its mean, weighted by
-    the sizes of groups merged before, with the largest residual of its
-    members, the eigenvector of one member and the summed group size.
+    only for such nearby pairs.  A group is reported at its mean, with the
+    largest residual of its members, the eigenvector of one member and its
+    size.
     """
     values = report.eigenvalues
     vectors = report.eigenvectors
-    sizes = np.ones(values.size) if report.group_sizes is None else report.group_sizes
     root = np.arange(values.size)
 
     def find(k):
@@ -131,7 +130,7 @@ def merge_split_levels(report):
     means = values[heads]
     for g in np.flatnonzero(np.bincount(labels) > 1):
         members = labels == g
-        means[g] = np.average(values[members], weights=sizes[members])
+        means[g] = np.mean(values[members])
     residuals = np.zeros(heads.size)
     np.maximum.at(residuals, labels, report.residuals)
     order = np.lexsort((means.imag, means.real))
@@ -142,7 +141,7 @@ def merge_split_levels(report):
         reality_flags=np.array([is_real_eigenvalue(v) for v in means], dtype=bool),
         eigenvectors=vectors[:, heads[order]],
         matches=report.matches,
-        group_sizes=np.bincount(labels, weights=sizes).astype(int)[order],
+        group_sizes=np.bincount(labels)[order],
     )
 
 
@@ -168,7 +167,6 @@ def bound_state_filter(report, grid, v_inf):
             residuals=report.residuals[keep],
             reality_flags=report.reality_flags[keep],
             eigenvectors=report.eigenvectors[:, keep],
-            group_sizes=None if report.group_sizes is None else report.group_sizes[keep],
         )
     )
 
@@ -176,8 +174,9 @@ def bound_state_filter(report, grid, v_inf):
 def match_levels(report, analytic, tol):
     """Greedy nearest pairing of analytic levels with computed eigenvalues.
 
-    The eigenvalues are those of merge_split_levels(report), so a split
-    defective level is matched at its group mean.  Pairs are assigned in order of increasing distance, each eigenvalue
+    A report whose split levels are not merged yet (group_sizes None) is
+    merged first, so a split defective level is matched at its group mean.
+    Pairs are assigned in order of increasing distance, each eigenvalue
     used at most once; a pair with distance > tol leaves its level
     unmatched.  The result is ordered like sorted(analytic), so it does
     not depend on the input permutation.
@@ -185,7 +184,9 @@ def match_levels(report, analytic, tol):
     levels = sorted(analytic)
     if not levels:
         return []
-    values = merge_split_levels(report).eigenvalues
+    if report.group_sizes is None:
+        report = merge_split_levels(report)
+    values = report.eigenvalues
     if values.size == 0:
         return [LevelMatch(lv, complex("nan"), float("inf"), False) for lv in levels]
     pairs = sorted(

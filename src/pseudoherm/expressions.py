@@ -72,9 +72,6 @@ class Pow:
     exponent: int
 
 
-Expr = (Const, Var, Param, Call, Neg, BinOp, Pow)
-
-
 # ---------------------------------------------------------------------------
 # tokenizer
 
@@ -441,7 +438,10 @@ def to_source(expr):
 def _render(expr, parent_prec):
     if isinstance(expr, Const):
         value = expr.value
-        text = repr(int(value)) if value == int(value) else repr(value)
+        if np.isinf(value):
+            text = "-1e999" if value < 0 else "1e999"  # parses back to +-inf
+        else:
+            text = repr(int(value)) if value == int(value) else repr(value)
         if value < 0 and parent_prec >= 3:
             return "(%s)" % text
         return text

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from pseudoherm.catalog import (
     MODEL_NAMES,
+    MODELS,
     get,
     morse_eigenfunction,
     periodic_eigenfunction,
@@ -21,7 +22,22 @@ from pseudoherm.generator import SpecError, derive, effective_potential
 def test_model_names_all_resolve():
     env = {"A": 2.0, "xi": 1.0, "W0": 2.0, "C0": 0.0}
     for name in MODEL_NAMES:
-        assert get(name, env).name == name
+        required, _ = MODELS[name]
+        assert get(name, {p: env[p] for p in required}).name == name
+
+
+@pytest.mark.parametrize(
+    "name,env",
+    [
+        ("constant_w", {"W0": 2.0, "C0": 0.0, "alpha": 1.0}),
+        ("periodic", {"A": 4.0}),
+        ("scarf2", {"A": 4.0, "xi": 1.0}),
+    ],
+)
+def test_undeclared_parameter_rejected(name, env):
+    extra = (set(env) - set(MODELS[name][0])).pop()
+    with pytest.raises(SpecError, match="takes no parameter '%s'" % extra):
+        get(name, env)
 
 
 def test_scarf_levels_a4():

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import pseudoherm
-from pseudoherm.cli import main
+from pseudoherm.cli import RunConfig, build_parser, main
 from pseudoherm.operators import Grid, build_eta, build_hamiltonian, matrix_to_csv
 from pseudoherm.catalog import get
 from pseudoherm.generator import derive
@@ -101,12 +103,43 @@ def test_verify_constant_w_checks_the_catalog_model(capsys):
     argv = ("verify", "--model", "constant_w", "--param", "W0=2", "--N", "500")
     with pytest.warns(UserWarning, match="underresolves"):
         _, at_zero = run_json(capsys, *argv, "--param", "C0=0")
-        _, shifted = run_json(capsys, *argv, "--param", "C0=5", "--param", "alpha=1")
+        _, shifted = run_json(capsys, *argv, "--param", "C0=5", "--alpha", "1")
     spec = shifted["config"]["resolved_spec"]
     assert spec["antiderivative"] == "W0 * x + C0"
     assert spec["params"] == {"W0": 2.0, "C0": 5.0}
     assert spec["alpha"] == 1.0
     assert shifted["residuals"]["intertwining"] != at_zero["residuals"]["intertwining"]
+
+
+def test_derive_constant_w_applies_alpha(capsys):
+    argv = ("derive", "--model", "constant_w", "--param", "W0=2", "--param", "C0=0")
+    _, plain = run_json(capsys, *argv)
+    code, shifted = run_json(capsys, *argv, "--alpha", "5")
+    assert code == 0
+    assert shifted["config"]["resolved_spec"]["alpha"] == 5.0
+    assert shifted["columns"]["x"] == plain["columns"]["x"]
+    # alpha enters Re V_eff as alpha/u^2 with u = W0*x + C0 = 2x
+    x = np.asarray(plain["columns"]["x"])
+    shift = np.subtract(shifted["columns"]["re_Veff"], plain["columns"]["re_Veff"])
+    np.testing.assert_allclose(shift, 5.0 / (2.0 * x) ** 2, rtol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("derive", "--model", "constant_w", "--param", "W0=2", "--param", "C0=0",
+         "--param", "alpha=1"),
+        # the sweep would bind alpha as a model parameter and run scarf2 twice
+        ("spectrum", "--model", "scarf2", "--param", "A=4", "--sweep", "alpha=0,1",
+         "--N", "20"),
+    ],
+    ids=["constant_w_alpha", "sweep_alpha"],
+)
+def test_undeclared_model_parameter_is_a_spec_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "takes no parameter 'alpha'" in err
 
 
 def test_derive_inline_unbound_parameter_is_a_spec_error(capsys):
@@ -236,6 +269,29 @@ def test_verify_external_matrices(capsys, tmp_path):
     assert code == 0
     assert "status" not in report  # no model context, residuals only
     assert report["residuals"]["eta_hermiticity"] == 0.0
+
+
+def test_verify_csv_lists_residuals_and_status(capsys, tmp_path):
+    # new coverage: the model report ends in a status row, the external
+    # one has none
+    argv = ("verify", "--model", "scarf2", "--param", "A=2", "--N", "200")
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    _, report = run_json(capsys, *argv)
+    assert code == 1
+    rows = ["%s,%r" % item for item in report["residuals"].items()]
+    assert out.splitlines() == ["check,residual", *rows, "status,FAIL"]
+
+    model = derive(get("scarf2", {"A": 2.0}).spec)
+    grid = Grid(-10.0, 10.0, 40)
+    with pytest.warns(UserWarning):  # deliberately coarse grid
+        matrix_to_csv(build_hamiltonian(model, grid), tmp_path / "H.csv")
+    matrix_to_csv(build_eta(model, grid), tmp_path / "eta.csv")
+    external = ("verify", "--H-csv", str(tmp_path / "H.csv"), "--eta-csv", str(tmp_path / "eta.csv"))
+    code, out, err = run(capsys, *external, "--format", "csv")
+    _, report = run_json(capsys, *external)
+    assert code == 0
+    rows = ["%s,%r" % item for item in report["residuals"].items()]
+    assert out.splitlines() == ["check,residual", *rows]
 
 
 def test_verify_external_needs_both_files(capsys, tmp_path):
@@ -478,3 +534,38 @@ def test_verify_external_rejects_bad_csv(capsys, tmp_path, H_text, eta_text, mes
     )
     assert code == 2
     assert message in err
+
+
+# ---------------------------------------------------------------------------
+# options
+
+
+@pytest.mark.parametrize(
+    "command,option",
+    [
+        ("derive", "--tol-level"),
+        ("derive", "--tol-intertwine"),
+        ("verify", "--tol-level"),
+        ("spectrum", "--tol-intertwine"),
+    ],
+)
+def test_subcommand_refuses_an_option_it_does_not_read(capsys, command, option):
+    argv = [command, "--model", "scarf2", "--param", "A=4", "--N", "20", option, "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s" % option in capsys.readouterr().err
+
+
+def test_every_option_sets_a_run_config_field():
+    # an option without a field would crash RunConfig(**...) at run time
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {
+        action.dest
+        for sub in commands.choices.values()
+        for action in sub._actions
+        if action.dest != "help"
+    }
+    fields = {field.name for field in dataclasses.fields(RunConfig)} - {"command"}
+    assert dests == fields

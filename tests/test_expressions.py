@@ -181,6 +181,17 @@ def test_non_finite_value_reports_x(source, x, where):
         evaluate(parse(source), x)
 
 
+@pytest.mark.parametrize("source", ["1e999", "-1e999*x", "x^2 - A*1e999"])
+def test_infinite_constant_round_trips_through_source(source):
+    expr = parse(source)
+    assert parse(to_source(expr)) == expr
+
+
+def test_negative_infinite_constant_renders_as_a_literal():
+    assert to_source(Const(float("-inf"))) == "-1e999"
+    assert to_source(Pow(Const(float("-inf")), 2)) == "(-1e999)^2"
+
+
 def test_free_parameters_collects_names():
     assert free_parameters(parse("-A*sinh(x)/cosh(x)^2 + B*x")) == {"A", "B"}
 

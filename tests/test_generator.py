@@ -282,3 +282,7 @@ def test_spec_config_round_trip():
     rebuilt = GeneratorSpec(env=config.pop("params"), **config)
     xs = np.linspace(-2.0, 2.0, 9)
     assert_allclose(derive(rebuilt).V(xs), derive(spec).V(xs), rtol=0, atol=0)
+
+
+def test_spec_with_infinite_constant_serializes():
+    assert spec_to_config(GeneratorSpec(W="1e999*x"))["W"] == "1e999 * x"
