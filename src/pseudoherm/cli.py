@@ -93,16 +93,26 @@ def _config_from_args(args):
 def _resolve(cfg):
     """Turn a RunConfig into (entry-or-None, spec, grid): the catalog entry
     or the inline spec, with --alpha/--beta and --a/--b/--N applied to
-    either in the same way."""
+    either in the same way.  An inline --antideriv is checked against W on
+    the span of the run's interior grid points; a catalog spec keeps its
+    own check interval."""
     if bool(cfg.model) == bool(cfg.W):
         raise SpecError("exactly one of --model and --W must be given")
-    if cfg.model:
-        entry = catalog.get(cfg.model, cfg.params)
-        spec, grid = entry.spec, entry.grid
+    entry = catalog.get(cfg.model, cfg.params) if cfg.model else None
+    grid = DEFAULT_GRID if entry is None else entry.grid
+    given = (("a", cfg.a), ("b", cfg.b), ("n", cfg.N))
+    overrides = {name: value for name, value in given if value is not None}
+    if overrides:
+        grid = dataclasses.replace(grid, **overrides)
+    if entry is None:
+        spec = GeneratorSpec(
+            W=cfg.W,
+            antiderivative=cfg.antideriv,
+            env=cfg.params,
+            check_interval=(grid.a + grid.h, grid.b - grid.h),
+        )
     else:
-        entry = None
-        spec = GeneratorSpec(W=cfg.W, antiderivative=cfg.antideriv, env=cfg.params)
-        grid = DEFAULT_GRID
+        spec = entry.spec
     # a new spec re-runs its antiderivative check, so only when asked for
     if cfg.alpha is not None or cfg.beta is not None:
         spec = dataclasses.replace(
@@ -110,10 +120,6 @@ def _resolve(cfg):
             alpha=spec.alpha if cfg.alpha is None else cfg.alpha,
             beta=spec.beta if cfg.beta is None else cfg.beta,
         )
-    given = (("a", cfg.a), ("b", cfg.b), ("n", cfg.N))
-    overrides = {name: value for name, value in given if value is not None}
-    if overrides:
-        grid = dataclasses.replace(grid, **overrides)
     return entry, spec, grid
 
 
@@ -414,9 +420,14 @@ COMMANDS = {
 }
 
 
+PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = PARSER.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error or help
+        return exc.code
     try:
         cfg = _config_from_args(args)
         return COMMANDS[args.command](cfg)

@@ -1,17 +1,17 @@
 """Dense non-Hermitian eigensolver wrapper and spectrum post-processing.
 
-Eigenvalues come from LAPACK's dense QR pipeline (balancing, Hessenberg
-reduction, shifted QR) via scipy.  Post-processing classifies reality,
-reports a defective level that discretization split in two as one level at
-its group mean, separates grid-localized bound states from discretized
-continuum, matches computed levels against analytic ones, and measures how
-well a closed-form eigenfunction satisfies the discrete eigenvalue equation.
+Eigenvalues come from LAPACK's dense QR pipeline (zgeev: balancing,
+Hessenberg reduction, shifted QR) as numpy.linalg ships it.  Post-processing
+classifies reality, reports a defective level that discretization split in
+two as one level at its group mean, separates grid-localized bound states
+from discretized continuum, matches computed levels against analytic ones,
+and measures how well a closed-form eigenfunction satisfies the discrete
+eigenvalue equation.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .generator import effective_potential
 from .operators import _matrix
@@ -70,7 +70,7 @@ def eig(op):
     if not np.all(np.isfinite(matrix)):
         raise EigenSolverError("matrix contains non-finite entries")
     try:
-        values, vectors = scipy.linalg.eig(matrix)
+        values, vectors = np.linalg.eig(matrix)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError("QR iteration did not converge: %s" % exc) from exc
     order = np.lexsort((values.imag, values.real))

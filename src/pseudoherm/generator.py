@@ -34,6 +34,11 @@ QUADRATURE_TOL = 1e-10
 QUADRATURE_PANEL = 0.05
 QUADRATURE_ORDER = 10
 QUADRATURE_MAX_PANELS = 2**14
+# nodes and weights on [-1, 1] of the QUADRATURE_ORDER-point rule followed
+# by those of the 2 * QUADRATURE_ORDER-point rule, computed once
+RULE_NODES, RULE_WEIGHTS = map(
+    np.concatenate, zip(leggauss(QUADRATURE_ORDER), leggauss(2 * QUADRATURE_ORDER))
+)
 
 
 class SpecError(ValueError):
@@ -131,9 +136,8 @@ def _numeric_antiderivative(spec, x):
     k = (np.arange(owner.size) - first[owner])[:, None]
     half = 0.5 * (gaps / panels)[owner, None]
     m = QUADRATURE_ORDER
-    t, w = map(np.concatenate, zip(leggauss(m), leggauss(2 * m)))
-    nodes = stops[owner, None] + half * (2 * k + 1 + t)
-    f = half * w * evaluate(spec.W, nodes, spec.env)
+    nodes = stops[owner, None] + half * (2 * k + 1 + RULE_NODES)
+    f = half * RULE_WEIGHTS * evaluate(spec.W, nodes, spec.env)
     coarse, fine = f[:, :m].sum(axis=1), f[:, m:].sum(axis=1)
     values = np.add.reduceat(fine, first)
     errors = np.add.reduceat(np.abs(fine - coarse), first)

@@ -243,16 +243,17 @@ def test_inline_w_runs_without_scipy_integrate(tmp_path):
     assert not loaded
 
 
-def test_cli_import_defers_scipy_integrate():
+def test_cli_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(pseudoherm.__file__))
     done = subprocess.run(
         [sys.executable, "-c",
-         "import sys, pseudoherm.cli; print('scipy.integrate' in sys.modules)"],
+         "import sys, pseudoherm.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 def test_verify_external_matrices(capsys, tmp_path):
@@ -420,6 +421,42 @@ def test_bad_param_syntax(capsys):
     code, out, err = run(capsys, "derive", "--model", "scarf2", "--param", "A2")
     assert code == 2
     assert "NAME=VALUE" in err
+    code, out, err = run(capsys, "derive", "--model", "scarf2", "--param", "A=foo")
+    assert code == 2
+    assert "parameter 'A' has non-numeric value 'foo'" in err
+
+
+@pytest.mark.parametrize(
+    "sweep,message",
+    [("A", "--sweep wants NAME=v1,v2,..."), ("A=1,x", "non-numeric sweep value")],
+)
+def test_bad_sweep_syntax(capsys, sweep, message):
+    code, out, err = run(
+        capsys, "spectrum", "--model", "scarf2", "--sweep", sweep, "--N", "20"
+    )
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_inline_antiderivative_is_checked_on_the_run_grid(capsys):
+    # sqrt(x) is undefined left of 0, so a check outside [a, b] cannot run
+    code, report = run_json(
+        capsys,
+        "derive", "--W=sqrt(x)", "--antideriv=2/3*sqrt(x)^3", "--a", "1", "--b", "5",
+    )
+    assert code == 0
+    assert report["config"]["resolved_spec"]["antiderivative"] is not None
+
+
+def test_inline_antiderivative_mismatch_on_the_run_grid(capsys):
+    # on [-1, 1] the defect |W| stays below 1e-9; on [2, 10] it reaches 1e-6
+    code, out, err = run(
+        capsys, "derive", "--W=1e-9*x^3", "--antideriv=1", "--a", "2", "--b", "10"
+    )
+    assert code == 2
+    assert out == ""
+    assert "antiderivative mismatch" in err
 
 
 def test_derive_wide_window_keeps_decaying_antiderivative(capsys):
@@ -551,9 +588,7 @@ def test_verify_external_rejects_bad_csv(capsys, tmp_path, H_text, eta_text, mes
 )
 def test_subcommand_refuses_an_option_it_does_not_read(capsys, command, option):
     argv = [command, "--model", "scarf2", "--param", "A=4", "--N", "20", option, "1"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    assert main(argv) == 2
     assert "unrecognized arguments: %s" % option in capsys.readouterr().err
 
 

@@ -190,6 +190,15 @@ def test_close_levels_with_orthogonal_eigenvectors_stay_separate():
     assert [m.matched for m in matches] == [True, True]
 
 
+def test_levels_apart_in_the_complex_plane_stay_separate():
+    # 1 +- 0.1i share a real part and their eigenvectors are parallel to
+    # within 1e-8, but they lie 0.2 apart, beyond SPLIT_WINDOW
+    report = eig(np.array([[1 + 0.1j, 1000.0], [0.0, 1 - 0.1j]]))
+    merged = merge_split_levels(report)
+    assert_allclose(merged.eigenvalues, [1 - 0.1j, 1 + 0.1j], rtol=0, atol=1e-12)
+    assert merged.group_sizes.tolist() == [1, 1]
+
+
 # ---------------------------------------------------------------------------
 # eigenfunction residual
 
@@ -201,6 +210,23 @@ def test_particle_in_box_ground_state_residual():
         model, grid, lambda x: np.sin(np.pi * x), np.pi**2
     )
     assert residual < 1e-3
+
+
+def test_scalar_only_eigenfunction_is_sampled_point_by_point():
+    # a psi written for one x at a time returns one value for an array too
+    model = derive(get("morse", {"xi": 1e-8}).spec)
+    grid = Grid(0.0, 1.0, 50)
+
+    def vectorized(x):
+        return np.sin(np.pi * x)
+
+    def scalar_only(x):
+        return np.sin(np.pi * np.ravel(x)[0])
+
+    expected = eigenfunction_residual(model, grid, vectorized, np.pi**2)
+    assert_allclose(
+        eigenfunction_residual(model, grid, scalar_only, np.pi**2), expected, rtol=1e-12
+    )
 
 
 def test_zero_eigenfunction_is_rejected():

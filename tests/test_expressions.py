@@ -162,6 +162,11 @@ def test_division_by_zero_in_array():
         evaluate(parse("1/x"), np.array([1.0, 0.0, 2.0]))
 
 
+def test_negative_power_of_zero_is_division_by_zero():
+    with pytest.raises(EvaluationError, match="division by zero at x = 0"):
+        evaluate(parse("x^-1"), 0.0)
+
+
 def test_sqrt_of_negative_rejected():
     with pytest.raises(EvaluationError, match="square root of negative"):
         evaluate(parse("sqrt(x)"), -1.0)
