@@ -23,6 +23,10 @@ from .generator import GeneratorSpec, SpecError
 from .operators import Grid
 
 PERIODIC_LEVEL_CUTOFF = 8
+# A model with analytic levels but no continuum solves up to this far above
+# its top level: periodic up to 17, clear of its next Dirichlet level near
+# 81/4 = 20.25.
+LEVEL_MARGIN = 1.0
 
 
 @dataclass(frozen=True)
@@ -37,6 +41,17 @@ class CatalogEntry:
     continuum_threshold: float = None
     solvable: bool = True
     notes: str = ""
+
+    @property
+    def spectrum_window(self):
+        """The `below` of the eigenvalue window that spectrum solves in: the
+        continuum threshold, else LEVEL_MARGIN above the top analytic level,
+        else None (the full spectrum)."""
+        if self.continuum_threshold is not None:
+            return self.continuum_threshold
+        if self.analytic_levels:
+            return max(self.analytic_levels) + LEVEL_MARGIN
+        return None
 
 
 def scarf_parameters(A):

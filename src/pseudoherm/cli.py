@@ -2,8 +2,10 @@
 
 Subcommands: derive (sample the pipeline functions over a grid), verify
 (residuals of the intertwining and Hermiticity identities), spectrum
-(dense eigensolve with bound-state filtering and analytic matching), and
-catalog (list/show the ready-made models).
+(eigensolve with bound-state filtering and analytic matching: the
+certified eigenvalues below the model's window for a catalog model, the
+dense full spectrum for an inline one), and catalog (list/show the
+ready-made models).
 
 A run takes one path: argparse fills a RunConfig (each option's dest is a
 field, and a subcommand takes only the options it reads), _resolve builds
@@ -284,7 +286,7 @@ def _spectrum_once(cfg):
         )
     model = derive(spec)
     hamiltonian = operators.build_hamiltonian(model, grid)
-    report = eigen.eig(hamiltonian)
+    report = eigen.eig(hamiltonian, below=None if entry is None else entry.spectrum_window)
     filtered = None
     if entry is not None and entry.continuum_threshold is not None:
         filtered = eigen.bound_state_filter(report, grid, entry.continuum_threshold)
@@ -400,7 +402,11 @@ def build_parser():
     verify.add_argument("--tol-intertwine", type=float)
     verify.add_argument("--H-csv", help="external Hamiltonian CSV")
     verify.add_argument("--eta-csv", help="external metric CSV")
-    spectrum = sub.add_parser("spectrum", parents=[shared], help="dense eigensolve")
+    spectrum = sub.add_parser(
+        "spectrum", parents=[shared],
+        help="eigenvalues below a catalog model's window (certified count),"
+        " or the full spectrum of an inline model",
+    )
     spectrum.add_argument("--tol-level", type=float)
     spectrum.add_argument(
         "--sweep", metavar="NAME=v1,v2,...", help="repeat over parameter values"

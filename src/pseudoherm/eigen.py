@@ -1,12 +1,28 @@
-"""Dense non-Hermitian eigensolver wrapper and spectrum post-processing.
+"""Non-Hermitian eigensolver and spectrum post-processing.
 
-Eigenvalues come from LAPACK's dense QR pipeline (zgeev: balancing,
-Hessenberg reduction, shifted QR) as numpy.linalg ships it.  Post-processing
-classifies reality, reports a defective level that discretization split in
-two as one level at its group mean, separates grid-localized bound states
-from discretized continuum, matches computed levels against analytic ones,
-and measures how well a closed-form eigenfunction satisfies the discrete
-eigenvalue equation.
+eig is the one solver entry point, with two paths:
+
+- Without a window it returns the full spectrum from LAPACK's dense QR
+  pipeline (zgeev: balancing, Hessenberg reduction, shifted QR) as
+  numpy.linalg ships it.  Plain matrices take this path.
+- eig(op, below=E) returns only the eigenvalues with real part below E of
+  a tridiagonal operator, in O(N m) time and memory with no N x N array.
+  H = A + iB with A, B Hermitian, so every eigenvalue lies in the box
+  Re in [min spec A, E], Im in [min spec B, max spec B], bounded through
+  Gershgorin discs of A and B.  The argument principle (Delves & Lyness,
+  Math. Comp. 21, 1967) counts the eigenvalues in that box: det(H - z)
+  comes from the ratio recurrence r_j = d_j - z - l_(j-1) u_(j-1) / r_(j-1)
+  around its edge.  Shift-invert Arnoldi (the design of ARPACK; Lehoucq,
+  Sorensen & Yang, 1998) with the shift at the box centre and full
+  reorthogonalization finds them, and its Krylov dimension doubles until
+  the converged Ritz values in the box number exactly the certified count.
+  A mismatch at the largest dimension raises EigenSolverError.
+
+Post-processing classifies reality, reports a defective level that
+discretization split in two as one level at its group mean, separates
+grid-localized bound states from discretized continuum, matches computed
+levels against analytic ones, and measures how well a closed-form
+eigenfunction satisfies the discrete eigenvalue equation.
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generator import effective_potential
-from .operators import _matrix
+from .operators import _matrix, _operator
 
 TAU_REAL = 1e-5
 # Two eigenvalues at most SPLIT_WINDOW apart whose unit right eigenvectors
@@ -28,9 +44,29 @@ TAU_SOLVER = 1e-8
 BOUND_MASS_FRACTION = 0.999
 INNER_FRACTION = 0.8
 
+# Window solver.  The box is widened on its left, top and bottom edges by
+# BOX_PAD times its larger side, so that no eigenvalue lies near them; its
+# right edge is the window's `below`.
+BOX_PAD = 0.05
+CONTOUR_POINTS = 1024
+# Contour segments over which the phase of det(H - z) turns by more than
+# PHASE_STEP are halved.  Along one straight segment each eigenvalue turns
+# the phase by less than pi, so a measured turn that small is the true one
+# unless two eigenvalues crowd the same segment.
+PHASE_STEP = np.pi / 4
+CONTOUR_MAX_POINTS = 1 << 16
+# A Ritz pair (theta, y) of (H - sigma)^-1 has converged when the Arnoldi
+# residual estimate |h_(m+1,m) y_m| is at most TAU_RITZ |theta|.
+TAU_RITZ = 1e-12
+KRYLOV_START = 40
+KRYLOV_CAP = 640
+KRYLOV_SEED = 20261018
+SOLVE_BLOCK = 16
+
 
 class EigenSolverError(RuntimeError):
-    """The QR iteration failed to converge."""
+    """The eigensolver failed: QR did not converge, a pivot vanished, or the
+    eigenvalues found disagree with the certified count."""
 
 
 class ZeroEigenfunctionError(ValueError):
@@ -50,7 +86,9 @@ class SpectrumReport:
     """Eigenvalues sorted by real part, with right-eigenvector residuals
     ||Mv - lambda v||_2 / (||M||_F ||v||_2) and reality flags
     |Im| <= TAU_REAL * max(1, |Re|).  group_sizes, set once split levels
-    are merged, counts the computed eigenvalues behind each entry."""
+    are merged, counts the computed eigenvalues behind each entry.  A
+    window solve sets below and certified_count, the number of eigenvalues
+    with real part below it."""
 
     eigenvalues: np.ndarray
     residuals: np.ndarray
@@ -58,14 +96,21 @@ class SpectrumReport:
     eigenvectors: np.ndarray
     matches: tuple = field(default_factory=tuple)
     group_sizes: np.ndarray = None
+    below: float = None
+    certified_count: int = None
 
 
 def is_real_eigenvalue(value, tol=TAU_REAL):
     return abs(value.imag) <= tol * max(1.0, abs(value.real))
 
 
-def eig(op):
-    """Full spectrum with right eigenvectors and per-eigenvalue residuals."""
+def eig(op, below=None):
+    """Eigenvalues with right eigenvectors and per-eigenvalue residuals: the
+    full spectrum, or with `below` those of a tridiagonal operator whose
+    real part is below it, their number certified by the argument
+    principle."""
+    if below is not None:
+        return _eig_window(_operator(op), float(below))
     matrix = np.asarray(_matrix(op), dtype=complex)
     if not np.all(np.isfinite(matrix)):
         raise EigenSolverError("matrix contains non-finite entries")
@@ -88,6 +133,240 @@ def eig(op):
         reality_flags=flags,
         eigenvectors=vectors,
     )
+
+
+def _eig_window(op, below):
+    if not set(op.bands) <= {-1, 0, 1}:
+        raise ValueError("a window solve needs a tridiagonal operator, got"
+                         " diagonals %s" % sorted(op.bands))
+    n = op.n
+    diag = op.bands[0]
+    lower = op.bands.get(-1, np.zeros(n - 1, dtype=complex))
+    upper = op.bands.get(1, np.zeros(n - 1, dtype=complex))
+    if not all(np.all(np.isfinite(band)) for band in (diag, lower, upper)):
+        raise EigenSolverError("matrix contains non-finite entries")
+    box = window_box(diag, lower, upper, below)
+    count = 0 if box is None else window_count(diag, lower * upper, box)
+    values = np.zeros(0, dtype=complex)
+    vectors = np.zeros((n, 0), dtype=complex)
+    if count:
+        sigma = complex(0.5 * (box[0] + box[1]), 0.5 * (box[2] + box[3]))
+        factors = _tridiagonal_lu(lower, diag - sigma, upper)
+        for values, vectors in _shift_invert_ritz(factors, n, sigma):
+            keep = _inside(box, values)
+            if np.count_nonzero(keep) == count:
+                values, vectors = values[keep], vectors[:, keep]
+                break
+        else:
+            raise EigenSolverError(
+                "%d converged Ritz values below %g, but the argument principle"
+                " counts %d eigenvalues there"
+                % (np.count_nonzero(keep), below, count)
+            )
+    order = np.lexsort((values.imag, values.real))
+    values = values[order]
+    vectors = vectors[:, order]
+    return SpectrumReport(
+        eigenvalues=values,
+        residuals=_band_residuals(diag, lower, upper, values, vectors),
+        reality_flags=np.array([is_real_eigenvalue(v) for v in values], dtype=bool),
+        eigenvectors=vectors,
+        below=below,
+        certified_count=count,
+    )
+
+
+def window_box(diag, lower, upper, below):
+    """(re_lo, below, im_lo, im_hi): a box that holds every eigenvalue of the
+    tridiagonal matrix with real part below `below`, or None when no
+    eigenvalue can have one.
+
+    For an eigenpair, lambda = v*Av / v*v + i v*Bv / v*v with the Hermitian
+    A = (M + M^dag)/2 and B = (M - M^dag)/2i, so Re lambda and Im lambda lie
+    in the Gershgorin intervals of A and B."""
+    a_off = 0.5 * (upper + lower.conj())
+    b_off = -0.5j * (upper - lower.conj())
+
+    def radii(off):
+        mags = np.abs(off)
+        return np.concatenate(([0.0], mags)) + np.concatenate((mags, [0.0]))
+
+    re_lo = float(np.min(diag.real - radii(a_off)))
+    b_radii = radii(b_off)
+    im_lo = float(np.min(diag.imag - b_radii))
+    im_hi = float(np.max(diag.imag + b_radii))
+    if below <= re_lo:
+        return None
+    pad = BOX_PAD * max(below - re_lo, im_hi - im_lo)
+    return (re_lo - pad, below, im_lo - pad, im_hi + pad)
+
+
+def _inside(box, values):
+    re_lo, re_hi, im_lo, im_hi = box
+    return ((values.real > re_lo) & (values.real < re_hi)
+            & (values.imag > im_lo) & (values.imag < im_hi))
+
+
+def _det_phase(diag, couplings, z):
+    """det(M - z) / |det(M - z)| at each point z, from the ratio recurrence
+    r_1 = d_1 - z, r_j = d_j - z - couplings_(j-1) / r_(j-1) whose product
+    is the determinant; couplings_j = M[j+1, j] M[j, j+1]."""
+    ratio = diag[0] - z
+    phase = ratio / np.abs(ratio)
+    for j in range(1, diag.size):
+        ratio = (diag[j] - z) - couplings[j - 1] / ratio
+        phase *= ratio
+        if j % 16 == 0:  # keep |phase| far from overflow and underflow
+            phase /= np.abs(phase)
+    phase /= np.abs(phase)
+    if not np.all(np.isfinite(phase)):
+        raise EigenSolverError("det(H - z) vanished on the counting contour")
+    return phase
+
+
+def window_count(diag, couplings, box):
+    """Number of eigenvalues of the tridiagonal matrix inside the box, as the
+    winding number of det(M - z) around its edge (argument principle).
+
+    The edge starts as CONTOUR_POINTS points spread over the four sides by
+    length, and each segment over which the phase turns by more than
+    PHASE_STEP is halved until none does."""
+    re_lo, re_hi, im_lo, im_hi = box
+    corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
+               complex(re_hi, im_hi), complex(re_lo, im_hi)]
+    perimeter = 2.0 * ((re_hi - re_lo) + (im_hi - im_lo))
+    sides = []
+    for start, end in zip(corners, corners[1:] + corners[:1]):
+        k = max(16, int(CONTOUR_POINTS * abs(end - start) / perimeter))
+        sides.append(start + (end - start) * np.arange(k) / k)
+    z = np.concatenate(sides + [np.array([corners[0]])])
+    phase = _det_phase(diag, couplings, z)
+    while True:
+        turns = np.angle(phase[1:] * phase[:-1].conj())
+        coarse = np.flatnonzero(np.abs(turns) > PHASE_STEP)
+        if coarse.size == 0:
+            return int(round(np.sum(turns) / (2.0 * np.pi)))
+        if z.size + coarse.size > CONTOUR_MAX_POINTS:
+            raise EigenSolverError(
+                "an eigenvalue lies too close to the edge of the counting box")
+        middle = 0.5 * (z[coarse] + z[coarse + 1])
+        phase = np.insert(phase, coarse + 1, _det_phase(diag, couplings, middle))
+        z = np.insert(z, coarse + 1, middle)
+
+
+def _tridiagonal_lu(lower, diag, upper):
+    """M = LU without pivoting, prepared for _tridiagonal_solve.
+
+    L is unit lower bidiagonal and U upper bidiagonal.  Padded with
+    identity rows to whole blocks of SOLVE_BLOCK rows, each is kept as the
+    inverses of its diagonal blocks and the one entry per block that
+    couples it to the block before (L) or after (U)."""
+    n = diag.size
+    tiny = np.finfo(float).eps * float(np.max(np.abs(diag)))
+    pivots = [complex(diag[0])]
+    multipliers = [0j]
+    for a, d, c in zip(lower.tolist(), diag[1:].tolist(), upper.tolist()):
+        if abs(pivots[-1]) <= tiny:
+            break
+        multipliers.append(a / pivots[-1])
+        pivots.append(d - multipliers[-1] * c)
+    if abs(pivots[-1]) <= tiny:
+        raise EigenSolverError(
+            "pivot %d of the shifted factorization vanished" % len(pivots))
+    size = SOLVE_BLOCK
+    blocks = -(-n // size)
+    pad = blocks * size - n
+    l = np.concatenate((multipliers, np.zeros(pad))).reshape(blocks, size)
+    u = np.concatenate((pivots, np.ones(pad))).reshape(blocks, size)
+    c = np.concatenate((upper, np.zeros(pad + 1))).reshape(blocks, size)
+    lower_inv = np.zeros((blocks, size, size), dtype=complex)
+    lower_inv[:, 0, 0] = 1.0
+    for i in range(1, size):
+        lower_inv[:, i, :i] = -l[:, i, None] * lower_inv[:, i - 1, :i]
+        lower_inv[:, i, i] = 1.0
+    upper_inv = np.zeros((blocks, size, size), dtype=complex)
+    upper_inv[:, -1, -1] = 1.0 / u[:, -1]
+    for i in range(size - 2, -1, -1):
+        upper_inv[:, i, i + 1:] = -c[:, i, None] * upper_inv[:, i + 1, i + 1:] / u[:, i, None]
+        upper_inv[:, i, i] = 1.0 / u[:, i]
+    return n, lower_inv, upper_inv, -l[:, 0], -c[:, -1]
+
+
+def _carry(coupling, ends, gain):
+    """t_0 = 0, t_k = coupling_k (ends_(k-1) + t_(k-1) gain_(k-1)): the
+    multiple of a block's edge column that the block before it adds."""
+    out = [0j]
+    for c, e, g in zip(coupling[1:].tolist(), ends[:-1].tolist(), gain[:-1].tolist()):
+        out.append(c * (e + out[-1] * g))
+    return np.array(out)
+
+
+def _tridiagonal_solve(factors, rhs):
+    """x with LU x = rhs: each block solved on its own by one batched
+    product, then corrected through the entry that couples it to its
+    neighbour, forward through L and backward through U."""
+    n, lower_inv, upper_inv, lower_coupling, upper_coupling = factors
+    blocks, size, _ = lower_inv.shape
+    padded = np.zeros((blocks, size, 1), dtype=complex)
+    padded.reshape(-1)[:n] = rhs
+    local = np.matmul(lower_inv, padded)[:, :, 0]
+    carry = _carry(lower_coupling, local[:, -1], lower_inv[:, -1, 0])
+    forward = local + carry[:, None] * lower_inv[:, :, 0]
+    local = np.matmul(upper_inv, forward[:, :, None])[:, :, 0]
+    carry = _carry(upper_coupling[::-1], local[::-1, 0], upper_inv[::-1, 0, -1])[::-1]
+    return (local + carry[:, None] * upper_inv[:, :, -1]).reshape(-1)[:n]
+
+
+def _shift_invert_ritz(factors, n, sigma):
+    """Ritz pairs of (M - sigma)^-1 from Arnoldi with full (twice repeated
+    Gram-Schmidt) reorthogonalization and a fixed-seed start vector.
+
+    Yields the converged pairs (eigenvalues sigma + 1/theta, unit Ritz
+    vectors as columns) at Krylov dimensions m = KRYLOV_START, 2m, ... up
+    to min(n, KRYLOV_CAP); each extends the previous basis."""
+    rng = np.random.default_rng(KRYLOV_SEED)
+    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    limit = min(n, KRYLOV_CAP)
+    m = min(KRYLOV_START, limit)
+    basis = np.zeros((m + 1, n), dtype=complex)
+    hessenberg = np.zeros((m + 1, m), dtype=complex)
+    basis[0] = start / np.linalg.norm(start)
+    k = 0
+    while True:
+        for k in range(k, m):
+            w = _tridiagonal_solve(factors, basis[k])
+            for _ in range(2):
+                coef = (basis[:k + 1] @ w.conj()).conj()
+                w -= coef @ basis[:k + 1]
+                hessenberg[:k + 1, k] += coef
+            beta = np.linalg.norm(w)
+            hessenberg[k + 1, k] = beta
+            if beta == 0.0:  # the Krylov space is invariant: every pair is exact
+                m = k + 1
+                break
+            basis[k + 1] = w / beta
+        theta, ritz = np.linalg.eig(hessenberg[:m, :m])
+        converged = np.abs(hessenberg[m, m - 1] * ritz[m - 1]) <= TAU_RITZ * np.abs(theta)
+        yield sigma + 1.0 / theta[converged], basis[:m].T @ ritz[:, converged]
+        if m >= limit or hessenberg[m, m - 1] == 0.0:
+            return
+        k, m = m, min(2 * m, limit)
+        grown = np.zeros((m + 1, n), dtype=complex)
+        grown[:k + 1] = basis[:k + 1]
+        basis = grown
+        grown = np.zeros((m + 1, m), dtype=complex)
+        grown[:k + 1, :k] = hessenberg[:k + 1, :k]
+        hessenberg = grown
+
+
+def _band_residuals(diag, lower, upper, values, vectors):
+    """||M v - lambda v||_2 / (||M||_F ||v||_2) per column, from the bands."""
+    applied = diag[:, None] * vectors
+    applied[:-1] += upper[:, None] * vectors[1:]
+    applied[1:] += lower[:, None] * vectors[:-1]
+    defect = np.linalg.norm(applied - vectors * values, axis=0)
+    scale = np.linalg.norm(np.concatenate((diag, lower, upper)))
+    return defect / (scale * np.linalg.norm(vectors, axis=0))
 
 
 def merge_split_levels(report):
@@ -214,10 +493,15 @@ def eigenfunction_residual(model, grid, psi, energy):
     Sampling the two boundary points from the callable keeps the stencil
     consistent in the outermost rows, where the Dirichlet matrix would
     otherwise inject the truncation error of psi(a), psi(b) at 1/h^2.
+    A psi that raises TypeError on an array, or returns another shape for
+    it, is sampled point by point.
     """
     closed = grid.a + grid.h * np.arange(0, grid.n + 2)
-    samples = np.asarray(psi(closed), dtype=complex)
-    if samples.shape != closed.shape:
+    try:
+        samples = np.asarray(psi(closed), dtype=complex)
+    except TypeError:  # a psi written for scalars, with the math module
+        samples = None
+    if samples is None or samples.shape != closed.shape:
         samples = np.array([psi(t) for t in closed], dtype=complex)
     inner = samples[1:-1]
     norm = np.linalg.norm(inner)
@@ -231,13 +515,17 @@ def eigenfunction_residual(model, grid, psi, energy):
 
 
 def report_to_dict(report):
-    """JSON-ready form: eigenvalues as [re, im] sorted by real part, and
-    group_sizes for a report whose split levels were merged."""
+    """JSON-ready form: eigenvalues as [re, im] sorted by real part,
+    group_sizes for a report whose split levels were merged, and below with
+    certified_count for a window solve."""
     data = {
         "eigenvalues": [[float(v.real), float(v.imag)] for v in report.eigenvalues],
         "residuals": [float(r) for r in report.residuals],
         "reality_flags": [bool(f) for f in report.reality_flags],
     }
+    if report.certified_count is not None:
+        data["below"] = float(report.below)
+        data["certified_count"] = int(report.certified_count)
     if report.group_sizes is not None:
         data["group_sizes"] = [int(k) for k in report.group_sizes]
     if report.matches:

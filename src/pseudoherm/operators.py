@@ -10,8 +10,9 @@ G d/dx + d/dx G = 2G d/dx + G' and is Hermitian exactly, at any spacing.
 
 Both are three-point stencils, so each operator is stored as its diagonals.
 Products, adjoints and the Frobenius-norm residuals work on the diagonals in
-O(N); a dense N x N matrix is assembled only on request, for the reference
-eigensolver and CSV export.
+O(N); a dense N x N matrix is assembled only on request, for the full-spectrum
+eigensolver and CSV export, and for products of operands that store many
+diagonals (a full matrix read from CSV).
 """
 
 import csv
@@ -132,7 +133,7 @@ def _operator(op):
 
 def _matrix(op):
     """Dense array of an operator or a plain matrix, for the dense edges:
-    the reference eigensolver and CSV export."""
+    the full-spectrum eigensolver and CSV export."""
     return op.matrix if isinstance(op, DiscreteOperator) else np.asarray(op)
 
 
@@ -145,9 +146,15 @@ def _product(left, right):
     """Bands of L R: band p of L times band q of R lands on offset p + q.
 
     (L R)[i, i+p+q] gets L[i, i+p] R[i+p, i+p+q] over the rows i where all
-    three column indices i, i+p and i+p+q lie in [0, n).
+    three column indices i, i+p and i+p+q lie in [0, n).  The loop makes
+    one numpy call per pair of stored diagonals, so operands with more
+    pairs than rows (a full n x n matrix has about 4n^2) are multiplied as
+    one dense product instead.
     """
     n = left[0].size
+    if len(left) * len(right) > n:
+        dense = DiscreteOperator(left).matrix @ DiscreteOperator(right).matrix
+        return DiscreteOperator.from_matrix(dense).bands
     out = {0: np.zeros(n, dtype=complex)}
     for p, lband in left.items():
         for q, rband in right.items():

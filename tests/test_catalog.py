@@ -210,3 +210,18 @@ def test_recommended_grids():
     assert (periodic.a, periodic.b) == (-np.pi, np.pi)
     morse = get("morse", {"xi": 1.0}).grid
     assert (morse.a, morse.b) == (-2.0, 14.0)
+
+
+@pytest.mark.parametrize(
+    "name, env, window",
+    [
+        ("scarf2", {"A": 4.0}, 0.0),
+        ("morse", {"xi": 1.0}, 0.0),
+        # one above the top level 16, below the next Dirichlet level 20.25
+        ("periodic", {}, 17.0),
+        ("constant_w", {"W0": 2.0, "C0": 0.0}, None),
+    ],
+)
+def test_spectrum_window(name, env, window):
+    assert get(name, env).spectrum_window == window
+

@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import pseudoherm
+from pseudoherm import eigen
 from pseudoherm.cli import RunConfig, build_parser, main
 from pseudoherm.operators import Grid, build_eta, build_hamiltonian, matrix_to_csv
 from pseudoherm.catalog import get
@@ -300,6 +302,37 @@ def test_verify_external_needs_both_files(capsys, tmp_path):
     assert code == 2
 
 
+def test_verify_external_full_matrices_take_one_dense_product(capsys, tmp_path):
+    # full 400 x 400 input stores 799 diagonals each; multiplying them pair
+    # by pair took seconds
+    rng = np.random.default_rng(400)
+    # the CSV holds each float through repr, so it reads back exactly
+    h, e = (rng.standard_normal((400, 400)) + 1j * rng.standard_normal((400, 400))
+            for _ in range(2))
+    matrix_to_csv(h, tmp_path / "H.csv")
+    matrix_to_csv(e, tmp_path / "eta.csv")
+    start = time.perf_counter()
+    code, report = run_json(
+        capsys, "verify", "--H-csv", str(tmp_path / "H.csv"),
+        "--eta-csv", str(tmp_path / "eta.csv"),
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0
+
+    def hermiticity(m):
+        return np.linalg.norm(m - m.conj().T) / np.linalg.norm(m)
+
+    expected = {
+        "intertwining": np.linalg.norm(e @ h - h.conj().T @ e)
+        / (np.linalg.norm(e) * np.linalg.norm(h)),
+        "eta_hermiticity": hermiticity(e),
+        "etaH_hermiticity": hermiticity(e @ h),
+    }
+    for name, value in expected.items():
+        assert report["residuals"][name] == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert elapsed < 3.0
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 
@@ -316,6 +349,66 @@ def test_spectrum_scarf_a4_matches_levels(capsys):
     assert [m["level"] for m in matches] == [-2.25, -0.25]
     assert matches[0]["distance"] <= 1e-2
     assert report["continuum_threshold"] == 0.0
+
+
+def test_spectrum_lists_the_certified_window(capsys):
+    code, report = run_json(
+        capsys, "spectrum", "--model", "scarf2", "--param", "A=4", "--N", "400"
+    )
+    assert code == 0
+    spectrum = report["spectrum"]
+    assert spectrum["below"] == 0.0
+    assert spectrum["certified_count"] == len(spectrum["eigenvalues"]) == 3
+    assert all(re < 0.0 for re, _ in spectrum["eigenvalues"])
+    _, periodic = run_json(capsys, "spectrum", "--model", "periodic", "--N", "400")
+    assert periodic["spectrum"]["below"] == 17.0
+    assert periodic["spectrum"]["certified_count"] == 8
+
+
+def test_spectrum_that_loses_a_value_exits_4(capsys, monkeypatch):
+    original = eigen._shift_invert_ritz
+
+    def lossy(*args):
+        for values, vectors in original(*args):
+            yield values[1:], vectors[:, 1:]
+
+    monkeypatch.setattr(eigen, "_shift_invert_ritz", lossy)
+    code, out, err = run(
+        capsys, "spectrum", "--model", "scarf2", "--param", "A=4", "--N", "200"
+    )
+    assert code == 4
+    assert out == ""
+    assert "argument principle counts 3" in err
+
+
+def test_spectrum_peak_memory_stays_banded(capsys):
+    # one dense complex matrix at N=8000 alone takes 1 GB
+    tracemalloc.start()
+    try:
+        code = main(["spectrum", "--model", "scarf2", "--param", "A=4", "--N", "8000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 32e6
+
+
+def test_spectrum_on_a_catalog_model_loads_no_scipy(tmp_path):
+    script = (
+        "import sys; from pseudoherm.cli import main; "
+        "code = main(['spectrum', '--model', 'scarf2', '--param', 'A=4', '--N', '400',"
+        " '--out', sys.argv[1]]); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = os.path.dirname(os.path.dirname(pseudoherm.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "spectrum.json")],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0 []"
 
 
 def test_spectrum_scarf_a4_reports_the_split_level_once(capsys):

@@ -1,7 +1,11 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pseudoherm import eigen
 from pseudoherm.catalog import get
 from pseudoherm.eigen import (
     TAU_SOLVER,
@@ -13,6 +17,8 @@ from pseudoherm.eigen import (
     match_levels,
     merge_split_levels,
     report_to_dict,
+    window_box,
+    window_count,
 )
 from pseudoherm.generator import derive
 from pseudoherm.operators import Grid, build_hamiltonian
@@ -213,7 +219,8 @@ def test_particle_in_box_ground_state_residual():
 
 
 def test_scalar_only_eigenfunction_is_sampled_point_by_point():
-    # a psi written for one x at a time returns one value for an array too
+    # a psi written for one x at a time returns one value for an array, or
+    # raises TypeError on it (the math module)
     model = derive(get("morse", {"xi": 1e-8}).spec)
     grid = Grid(0.0, 1.0, 50)
 
@@ -223,10 +230,14 @@ def test_scalar_only_eigenfunction_is_sampled_point_by_point():
     def scalar_only(x):
         return np.sin(np.pi * np.ravel(x)[0])
 
+    def with_math(x):
+        return math.sin(math.pi * x)
+
     expected = eigenfunction_residual(model, grid, vectorized, np.pi**2)
-    assert_allclose(
-        eigenfunction_residual(model, grid, scalar_only, np.pi**2), expected, rtol=1e-12
-    )
+    for psi in (scalar_only, with_math):
+        assert_allclose(
+            eigenfunction_residual(model, grid, psi, np.pi**2), expected, rtol=1e-12
+        )
 
 
 def test_zero_eigenfunction_is_rejected():
@@ -245,3 +256,143 @@ def test_report_round_trip_to_dict():
     data = report_to_dict(report)
     assert data["eigenvalues"] == [[1.0, 0.0], [3.0, 0.0]]
     assert all(r <= TAU_SOLVER for r in data["residuals"])
+
+
+# ---------------------------------------------------------------------------
+# window solve: shift-invert Arnoldi with a certified count
+
+
+WINDOW_CASES = [
+    ("scarf2", {"A": 1.0}),
+    ("scarf2", {"A": 3.0}),
+    ("scarf2", {"A": 4.0}),
+    ("scarf2", {"A": 5.0}),
+    ("periodic", {}),
+    ("morse", {"xi": 0.5}),
+    ("morse", {"xi": 1.0}),
+    ("morse", {"xi": 2.0}),
+]
+
+
+def _catalog_hamiltonian(name, env, n=400):
+    entry = get(name, env)
+    grid = Grid(entry.grid.a, entry.grid.b, n)
+    return entry, grid, build_hamiltonian(derive(entry.spec), grid)
+
+
+def _merged(entry, grid, report):
+    """Merged states in the window and their matches, as spectrum reports
+    them: the bound states, or for periodic every level below its window."""
+    if entry.continuum_threshold is not None:
+        subject = bound_state_filter(report, grid, entry.continuum_threshold)
+    else:
+        keep = report.eigenvalues.real < entry.spectrum_window
+        subject = merge_split_levels(dataclasses.replace(
+            report,
+            eigenvalues=report.eigenvalues[keep],
+            residuals=report.residuals[keep],
+            reality_flags=report.reality_flags[keep],
+            eigenvectors=report.eigenvectors[:, keep],
+        ))
+    return subject, match_levels(subject, entry.analytic_levels, 1e-2)
+
+
+@pytest.mark.parametrize("name, env", WINDOW_CASES, ids=lambda v: str(v))
+def test_window_solve_agrees_with_dense(name, env):
+    entry, grid, hamiltonian = _catalog_hamiltonian(name, env)
+    below = entry.spectrum_window
+    dense = eig(hamiltonian)
+    window = eig(hamiltonian, below=below)
+    in_window = dense.eigenvalues[dense.eigenvalues.real < below]
+    assert window.certified_count == in_window.size == window.eigenvalues.size
+    assert window.below == below
+    # raw values: a split exceptional-point pair has condition number ~500
+    for value in window.eigenvalues:
+        assert np.min(np.abs(in_window - value)) <= 1e-8
+    assert np.max(window.residuals, initial=0.0) <= TAU_SOLVER
+    assert window.eigenvectors.shape == (grid.n, window.eigenvalues.size)
+    dense_states, dense_matches = _merged(entry, grid, dense)
+    window_states, window_matches = _merged(entry, grid, window)
+    assert_allclose(window_states.eigenvalues, dense_states.eigenvalues, rtol=0, atol=1e-10)
+    assert window_states.group_sizes.tolist() == dense_states.group_sizes.tolist()
+    for got, want in zip(window_matches, dense_matches, strict=True):
+        assert got.matched == want.matched
+        if want.matched:
+            assert abs(got.eigenvalue - want.eigenvalue) <= 1e-10
+
+
+def test_window_count_of_the_discrete_laplacian():
+    # eigenvalues (2 - 2 cos(k pi / (n + 1))) / h^2, k = 1..n, all real
+    n, h = 300, 0.05
+    diag = np.full(n, 2.0 / h**2, dtype=complex)
+    off = np.full(n - 1, -1.0 / h**2, dtype=complex)
+    exact = (2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))) / h**2
+    for below in (0.5 * (exact[0] + exact[1]), 0.5 * (exact[9] + exact[10]), -1.0):
+        box = window_box(diag, off, off, below)
+        count = 0 if box is None else window_count(diag, off * off, box)
+        assert count == np.count_nonzero(exact < below)
+
+
+def test_window_solve_on_a_general_tridiagonal_matrix():
+    # complex, unequal off-diagonals: the box comes from the Hermitian and
+    # skew-Hermitian parts
+    rng = np.random.default_rng(12)
+    n = 120
+    matrix = (
+        np.diag(rng.standard_normal(n) * 3 + 1j * rng.standard_normal(n))
+        + np.diag(rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1), 1)
+        + np.diag(rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1), -1)
+    )
+    dense = eig(matrix).eigenvalues
+    real_parts = np.sort(dense.real)
+    below = 0.5 * (real_parts[14] + real_parts[15])
+    report = eig(matrix, below=below)
+    assert report.certified_count == 15
+    assert_allclose(
+        np.sort_complex(report.eigenvalues), np.sort_complex(dense[dense.real < below]),
+        rtol=0, atol=1e-10,
+    )
+
+
+def test_window_solve_refuses_a_wider_band():
+    with pytest.raises(ValueError, match="tridiagonal"):
+        eig(np.ones((5, 5), dtype=complex), below=0.0)
+
+
+def test_window_solve_below_every_eigenvalue_is_empty():
+    report = eig(np.diag([1.0, 2.0, 3.0]).astype(complex), below=0.5)
+    assert report.certified_count == 0
+    assert report.eigenvalues.size == 0
+    assert report_to_dict(report)["certified_count"] == 0
+
+
+def test_window_solve_is_repeatable():
+    _, _, hamiltonian = _catalog_hamiltonian("periodic", {})
+    first = eig(hamiltonian, below=17.0)
+    again = eig(hamiltonian, below=17.0)
+    assert np.array_equal(first.eigenvalues, again.eigenvalues)
+    assert np.array_equal(first.eigenvectors, again.eigenvectors)
+
+
+def test_window_solve_that_loses_a_value_is_a_solver_error(monkeypatch):
+    original = eigen._shift_invert_ritz
+
+    def lossy(*args):  # a Krylov step that drops one converged pair
+        for values, vectors in original(*args):
+            yield values[1:], vectors[:, 1:]
+
+    monkeypatch.setattr(eigen, "_shift_invert_ritz", lossy)
+    _, _, hamiltonian = _catalog_hamiltonian("scarf2", {"A": 4.0}, n=200)
+    with pytest.raises(EigenSolverError, match="argument principle counts 3"):
+        eig(hamiltonian, below=0.0)
+
+
+def test_vanishing_pivot_is_a_solver_error():
+    # the shift is the box centre, which depends on the lowest diagonal
+    # entry and on below only; put the first diagonal entry exactly there
+    zero = np.zeros(2, dtype=complex)
+    box = window_box(np.array([0.0, -1.0, 3.5], dtype=complex), zero, zero, 3.0)
+    centre = 0.5 * (box[0] + box[1])
+    matrix = np.diag([centre, -1.0, 3.5]).astype(complex)
+    with pytest.raises(EigenSolverError, match="pivot"):
+        eig(matrix, below=3.0)
