@@ -11,6 +11,11 @@ alpha, beta, this produces
 and G' = -W/2.  operators.build_eta builds the second-order metric operator
 eta from G and Q.  The pipeline is undefined where I vanishes; such points
 raise a domain error instead of returning infinities.
+
+G, Q and V all come from three samples, I, W and W', so a derived model
+takes each of them once per point set and reuses them: G, Q, V and W on
+the same points cost one quadrature pass and one evaluation each of W and
+W'.  The model keeps only the last point set.
 """
 
 from dataclasses import dataclass, field
@@ -157,58 +162,72 @@ def _numeric_antiderivative(spec, x):
     return float(out[0]) if scalar else out.reshape(np.shape(x))
 
 
-@dataclass(frozen=True)
 class DerivedModel:
-    """Callable bundle produced by derive(); every callable accepts scalar
-    or ndarray x and is pure."""
+    """The pipeline of one GeneratorSpec, returned by derive().  G, Gp, Q, V
+    and W accept scalar or ndarray x and return new values each call.
 
-    spec: GeneratorSpec
-    G: object
-    Gp: object
-    Q: object
-    V: object
-    W: object
+    Each point set is sampled once and reused: I, W and W' are each taken
+    at most once per point set, when first needed.  The model keeps the
+    last point set (a copy of x, compared by content, so an array changed
+    in place counts as new points) with the samples taken on it; a new
+    point set replaces it.
+    """
 
+    def __init__(self, spec):
+        self.spec = spec
+        env = spec.env
+        w_prime = differentiate(spec.W)
+        # G' = -W/2, taken from the closed form's own derivative when there is one
+        closed = spec.antiderivative
+        self._gp = spec.W if closed is None else differentiate(closed)
+        self._samplers = {
+            "I": lambda x: antiderivative(spec, x),
+            "W": lambda x: evaluate(spec.W, x, env),
+            "Wp": lambda x: evaluate(w_prime, x, env),
+        }
+        self._points = None
+        self._samples = {}
 
-def derive(spec):
-    """Wire the full pipeline for one GeneratorSpec."""
-    env = spec.env
-    w_expr = spec.W
-    wp_expr = differentiate(w_expr)
+    def _sample(self, name, x):
+        """I, W or W' at x, taken once per point set."""
+        points = (np.shape(x), np.asarray(x, dtype=float).tobytes())
+        if points != self._points:
+            self._points, self._samples = points, {}
+        if name not in self._samples:
+            self._samples[name] = self._samplers[name](x)
+        return self._samples[name]
 
-    # G' = -W/2, taken from the closed form's own derivative when there is one
-    closed = spec.antiderivative
-    gp_expr = w_expr if closed is None else differentiate(closed)
+    def G(self, x):
+        return -0.5 * self._sample("I", x)
 
-    def g_prime(x):
-        return -0.5 * evaluate(gp_expr, x, env)
+    def Gp(self, x):
+        return -0.5 * evaluate(self._gp, x, self.spec.env)
 
-    def w(x):
-        return evaluate(w_expr, x, env)
+    def W(self, x):
+        w = self._sample("W", x)
+        return w.copy() if isinstance(w, np.ndarray) else w
 
-    def g(x):
-        return -0.5 * antiderivative(spec, x)
-
-    def q(x):
-        i = antiderivative(spec, x)
-        w_x = evaluate(w_expr, x, env)
-        wp_x = evaluate(wp_expr, x, env)
+    def Q(self, x):
+        i, w, wp = (self._sample(name, x) for name in ("I", "W", "Wp"))
         # relative to W and W', so a tail where I, W and W' decay together
         # is not a zero, while a double zero of I (W = 0, W' != 0) still is
-        scale = np.maximum(np.abs(w_x), np.abs(wp_x))
+        scale = np.maximum(np.abs(w), np.abs(wp))
         bad = np.abs(i) <= ANTIDERIVATIVE_ZERO_TOL * scale
         if np.any(bad):
             raise GZeroError(
                 "antiderivative of W vanishes at x = %g; V and Q diverge there"
                 % _first_offender(x, bad)
             )
-        half = w_x / (2.0 * i)
-        return wp_x / (2.0 * i) - half**2 + spec.alpha / i**2
+        half = w / (2.0 * i)
+        return wp / (2.0 * i) - half**2 + self.spec.alpha / i**2
 
-    def v(x):
-        return q(x) - g(x) ** 2 + spec.beta
+    def V(self, x):
+        return self.Q(x) - self.G(x) ** 2 + self.spec.beta
 
-    return DerivedModel(spec=spec, G=g, Gp=g_prime, Q=q, V=v, W=w)
+
+def derive(spec):
+    """The derived model (G, G', Q, V, W) of one GeneratorSpec."""
+    return DerivedModel(spec)
 
 
 def effective_potential(model, x):

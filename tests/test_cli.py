@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import pseudoherm
-from pseudoherm import eigen
+from pseudoherm import eigen, generator
 from pseudoherm.cli import RunConfig, build_parser, main
 from pseudoherm.operators import Grid, build_eta, build_hamiltonian, matrix_to_csv
 from pseudoherm.catalog import get
+from pseudoherm.expressions import parse
 from pseudoherm.generator import derive
 
 
@@ -243,6 +244,37 @@ def test_inline_w_runs_without_scipy_integrate(tmp_path):
     assert derive_code == 0, done.stderr
     assert verify_code in (0, 1), done.stderr
     assert not loaded
+
+
+INLINE_MORSE = ["--W=-xi*exp(-x)", "--param", "xi=1", "--a", "0.5", "--b", "14"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["derive"], ["verify", "--N", "500"], ["spectrum", "--N", "300"]],
+    ids=["derive", "verify", "spectrum"],
+)
+def test_inline_op_samples_its_points_once(capsys, monkeypatch, argv):
+    # G, Q, V and W of one op share one quadrature pass and one evaluation
+    # of W on the sample points
+    w = parse("-xi*exp(-x)")
+    calls = {"quadrature": 0, "W": 0}
+    quadrature, evaluate = generator._numeric_antiderivative, generator.evaluate
+
+    def counted_quadrature(spec, x):
+        calls["quadrature"] += 1
+        return quadrature(spec, x)
+
+    def counted_evaluate(expr, x, env=None):
+        # the quadrature samples W on a 2-D array of nodes
+        calls["W"] += expr == w and np.ndim(x) == 1
+        return evaluate(expr, x, env)
+
+    monkeypatch.setattr(generator, "_numeric_antiderivative", counted_quadrature)
+    monkeypatch.setattr(generator, "evaluate", counted_evaluate)
+    code, _, err = run(capsys, *argv, *INLINE_MORSE)
+    assert code in (0, 1), err
+    assert calls == {"quadrature": 1, "W": 1}
 
 
 def test_cli_import_loads_no_scipy():

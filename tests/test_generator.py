@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 import warnings
 
@@ -6,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate
 
-from pseudoherm.expressions import EvaluationError, evaluate
+from pseudoherm.expressions import EvaluationError
 from pseudoherm.generator import (
     GeneratorSpec,
     GZeroError,
@@ -94,33 +95,37 @@ def test_numeric_antiderivative_matches_closed_form():
 
 
 # the inline generators of the benchmark, with the parameter values it draws
+# and the same function written independently with math, for the reference
 INLINE_W = {
-    "-A*sinh(x)/cosh(x)^2": ("A", (3.0, 4.0, 5.0)),
-    "-xi*exp(-x)": ("xi", (0.5, 1.0, 2.0)),
-    "4*sin(2*x)/(3*(cos(x)^2-4/3)^2)": (None, (None,)),
+    "-A*sinh(x)/cosh(x)^2": (
+        "A", (3.0, 4.0, 5.0), lambda t, A: -A * math.sinh(t) / math.cosh(t) ** 2
+    ),
+    "-xi*exp(-x)": ("xi", (0.5, 1.0, 2.0), lambda t, xi: -xi * math.exp(-t)),
+    "4*sin(2*x)/(3*(cos(x)^2-4/3)^2)": (
+        None,
+        (None,),
+        lambda t, _: 4.0 * math.sin(2.0 * t) / (3.0 * (math.cos(t) ** 2 - 4.0 / 3.0) ** 2),
+    ),
 }
 
 
 @st.composite
 def inline_samples(draw):
     W = draw(st.sampled_from(sorted(INLINE_W)))
-    name, values = INLINE_W[W]
+    name, values, closed = INLINE_W[W]
     value = draw(st.sampled_from(values))
     a = draw(st.floats(-12.0, 12.0))
     b = draw(st.floats(a, 12.0))
     xs = np.linspace(a, b, draw(st.integers(1, 60)))
-    return GeneratorSpec(W=W, env={} if name is None else {name: value}), xs
+    spec = GeneratorSpec(W=W, env={} if name is None else {name: value})
+    return spec, xs, lambda t: closed(t, value)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @settings(max_examples=60, deadline=None)
 @given(inline_samples())
 def test_numeric_antiderivative_matches_quad(sample):
-    spec, xs = sample
-
-    def w(t):
-        return evaluate(spec.W, t, spec.env)
-
+    spec, xs, w = sample
     # one independent integral from 0 per point, so the reference carries
     # no accumulated rounding of its own
     reference = np.array(
@@ -198,6 +203,11 @@ def test_gzero_error_reports_offending_point():
     model = derive(spec)
     with pytest.raises(GZeroError, match="x = 0"):
         model.Q(np.array([1.0, 0.0]))
+    # integrated from 0, G is defined at the origin while Q is not
+    inline = derive(GeneratorSpec(W="x*exp(-x^2)"))
+    assert inline.G(0.0) == 0.0
+    with pytest.raises(GZeroError, match="x = 0"):
+        inline.Q(0.0)
 
 
 @pytest.mark.parametrize("spec,xs", ALL_SPECS)
@@ -212,6 +222,27 @@ def test_v_minus_q_is_minus_g_squared_plus_beta(spec, xs):
     lhs = model.V(xs) - model.Q(xs)
     rhs = -model.G(xs) ** 2 + spec.beta
     assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+INLINE_MORSE = (GeneratorSpec(W="-xi*exp(-x)", env={"xi": 1.0}), np.linspace(0.5, 14.0, 200))
+
+
+@pytest.mark.parametrize("spec,xs", [*ALL_SPECS, INLINE_MORSE])
+def test_samples_are_kept_by_content_not_identity(spec, xs):
+    def sampled(model, x):
+        return [f(x) for f in (model.G, model.Q, model.V, model.W)]
+
+    model = derive(spec)
+    x = xs.copy()
+    model.V(x)
+    x += 0.1  # the same array, holding new points
+    assert_array_equal(sampled(model, x), sampled(derive(spec), x))
+    other = xs - 0.05  # a second array of the same shape
+    assert_array_equal(sampled(model, other), sampled(derive(spec), other))
+    # a value handed out is the caller's to change
+    model.W(other)[:] = 0.0
+    model.G(other)[:] = 0.0
+    assert_array_equal(sampled(model, other), sampled(derive(spec), other))
 
 
 @pytest.mark.parametrize("spec,xs", ALL_SPECS)
