@@ -162,8 +162,11 @@ def _emit(cfg, report, table=None):
         rows += [",".join(map(_cell, row)) for row in zip(*table.values())]
         text = "\n".join(rows) + "\n"
     if cfg.out:
-        with open(cfg.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(cfg.out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise SpecError("cannot write report: %s" % exc) from None
     else:
         sys.stdout.write(text)
 
@@ -436,7 +439,11 @@ def main(argv=None):
         return exc.code
     try:
         cfg = _config_from_args(args)
-        return COMMANDS[args.command](cfg)
+        # evaluate, eig and _emit each refuse a non-finite value with an
+        # exit code and a message, so numpy's overflow warnings would only
+        # print ahead of it
+        with np.errstate(all="ignore"):
+            return COMMANDS[args.command](cfg)
     except (SpecError, ExprSyntaxError, GridMismatchError) as exc:
         print("specification error: %s" % exc, file=sys.stderr)
         return EXIT_SPEC

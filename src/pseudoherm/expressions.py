@@ -4,21 +4,31 @@ Supports parsing, pointwise evaluation (scalar or numpy array argument),
 and closed symbolic differentiation over a small grammar: real constants,
 the variable x, named parameters, unary functions, and the binary
 operations + - * / ^ with constant integer exponents.
+
+Each grammar rule has one source: the tokenizer is one regular expression,
+a function is one FUNCTIONS row that carries both its numpy callable and
+its derivative rule, and the binary precedences in _PREC drive both the
+parser and the printer.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
+# name -> (numpy callable, derivative rule: argument tree u -> tree of f'(u))
 FUNCTIONS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-    "tanh": np.tanh,
-    "exp": np.exp,
-    "sqrt": np.sqrt,
+    "sin": (np.sin, lambda u: Call("cos", u)),
+    "cos": (np.cos, lambda u: _neg(Call("sin", u))),
+    "sinh": (np.sinh, lambda u: Call("cosh", u)),
+    "cosh": (np.cosh, lambda u: Call("sinh", u)),
+    "tanh": (np.tanh, lambda u: _sub(Const(1.0), _pow(Call("tanh", u), 2))),
+    "exp": (np.exp, lambda u: Call("exp", u)),
+    "sqrt": (np.sqrt, lambda u: _div(Const(1.0), _mul(Const(2.0), Call("sqrt", u)))),
 }
+
+# binary operator -> precedence; higher binds tighter, all associate left
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 class ExprSyntaxError(ValueError):
@@ -74,60 +84,44 @@ class Pow:
 
 # ---------------------------------------------------------------------------
 # tokenizer
+#
+# A number is a digit or '.', then digits and dots with at most one exponent
+# mark ('e' or 'E' before a sign or a digit); float() judges the literal.
+# A name starts with a letter or '_'.  \w also matches a leading numeral (a
+# superscript digit, say), which _tokenize refuses.  Every position matches
+# some group (bad takes any one character), so the matches tile the source
+# and a running sum of their lengths is each token's column.
 
-
-_NUMBER_START = "0123456789."
+_TOKEN = re.compile(
+    r"(?P<num>[0-9.][\d.]*(?:[eE](?:[+-]|(?=\d))[\d.]*)?)|(?P<name>\w+)"
+    r"|(?P<op>[-+*/^()])|(?P<space>\s+)|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
 def _tokenize(source):
-    tokens = []
-    i = 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _NUMBER_START:
-            j = i
-            seen_e = False
-            while j < n:
-                d = source[j]
-                if d.isdigit() or d == ".":
-                    j += 1
-                elif d in "eE" and not seen_e and j + 1 < n and (
-                    source[j + 1].isdigit() or source[j + 1] in "+-"
-                ):
-                    seen_e = True
-                    j += 2 if source[j + 1] in "+-" else 1
-                else:
-                    break
+    tokens, i = [], 0
+    for num, name, op, space, bad in _TOKEN.findall(source):
+        if num:
             try:
-                value = float(source[i:j])
+                tokens.append(("num", float(num), i))
             except ValueError:
-                raise ExprSyntaxError("bad number literal '%s'" % source[i:j], i)
-            tokens.append(("num", value, i))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(("name", source[i:j], i))
-            i = j
-        elif c in "+-*/^()":
-            tokens.append((c, c, i))
-            i += 1
-        else:
-            raise ExprSyntaxError("unexpected character '%s'" % c, i)
-    tokens.append(("end", None, n))
+                raise ExprSyntaxError("bad number literal '%s'" % num, i) from None
+        elif op:
+            tokens.append((op, op, i))
+        elif name and (name[0].isalpha() or name[0] == "_"):
+            tokens.append(("name", name, i))
+        elif not space:
+            raise ExprSyntaxError("unexpected character '%s'" % (name or bad)[0], i)
+        i += len(num or name or op or space or bad)
+    tokens.append(("end", None, i))
     return tokens
 
 
 # ---------------------------------------------------------------------------
 # recursive-descent parser
 #
-# expr   := term (('+'|'-') term)*
-# term   := unary (('*'|'/') unary)*
+# expr   := unary (binop unary)*   binop precedence from _PREC, left-assoc
 # unary  := '-' unary | power
 # power  := atom ('^' ['-'] integer)?
 # atom   := number | name | name '(' expr ')' | '(' expr ')'
@@ -152,20 +146,11 @@ class _Parser:
             raise ExprSyntaxError("expected '%s'" % kind, tok[2])
         return tok
 
-    def parse_expr(self):
-        node = self.parse_term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            right = self.parse_term()
-            node = BinOp(op, node, right)
-        return node
-
-    def parse_term(self):
+    def parse_expr(self, min_prec=1):
         node = self.parse_unary()
-        while self.peek()[0] in ("*", "/"):
+        while _PREC.get(self.peek()[0], 0) >= min_prec:
             op = self.advance()[0]
-            right = self.parse_unary()
-            node = BinOp(op, node, right)
+            node = BinOp(op, node, self.parse_expr(_PREC[op] + 1))
         return node
 
     def parse_unary(self):
@@ -184,7 +169,7 @@ class _Parser:
             self.advance()
             sign = -1
         tok = self.advance()
-        if tok[0] != "num" or tok[1] != int(tok[1]):
+        if tok[0] != "num" or not tok[1].is_integer():  # refuses 1e999 too
             raise ExprSyntaxError("exponent must be a constant integer", tok[2])
         return Pow(base, sign * int(tok[1]))
 
@@ -231,18 +216,26 @@ def evaluate(expr, x, env=None):
     first such x."""
     env = env or {}
     result = np.asarray(_eval(expr, x, env), dtype=float)
-    finite = np.isfinite(result)
-    if not finite.all():
-        bad = np.broadcast_to(~finite, np.shape(x))
-        raise EvaluationError("non-finite value at x = %g" % _first_offender(x, bad))
+    _refuse(~np.isfinite(result), "non-finite value", x)
     if np.ndim(x) == 0:
         return float(result)
     return np.broadcast_to(result, np.shape(x)).copy()
 
 
 def _first_offender(x, mask):
-    xs = np.broadcast_to(np.asarray(x, dtype=float), np.shape(mask))
-    return float(xs[mask].flat[0]) if np.ndim(mask) else float(xs)
+    # a scalar mask comes from a subexpression that does not depend on x
+    xs, mask = np.broadcast_arrays(np.asarray(x, dtype=float), mask)
+    return float(xs[mask][0])
+
+
+def _refuse(bad, what, x):
+    if np.asarray(bad).any():
+        raise EvaluationError("%s at x = %g" % (what, _first_offender(x, bad)))
+
+
+def _divisor(value, x):
+    _refuse(value == 0, "division by zero", x)
+    return value
 
 
 def _eval(expr, x, env):
@@ -260,12 +253,8 @@ def _eval(expr, x, env):
     if isinstance(expr, Call):
         arg = _eval(expr.arg, x, env)
         if expr.fn == "sqrt":
-            bad = np.asarray(arg) < 0
-            if np.any(bad):
-                raise EvaluationError(
-                    "square root of negative value at x = %g" % _first_offender(x, bad)
-                )
-        return FUNCTIONS[expr.fn](arg)
+            _refuse(arg < 0, "square root of negative value", x)
+        return FUNCTIONS[expr.fn][0](arg)
     if isinstance(expr, BinOp):
         left = _eval(expr.left, x, env)
         right = _eval(expr.right, x, env)
@@ -275,20 +264,11 @@ def _eval(expr, x, env):
             return left - right
         if expr.op == "*":
             return left * right
-        bad = np.asarray(right) == 0
-        if np.any(bad):
-            raise EvaluationError(
-                "division by zero at x = %g" % _first_offender(x, bad)
-            )
-        return left / right
+        return left / _divisor(right, x)
     if isinstance(expr, Pow):
         base = _eval(expr.base, x, env)
         if expr.exponent < 0:
-            bad = np.asarray(base) == 0
-            if np.any(bad):
-                raise EvaluationError(
-                    "division by zero at x = %g" % _first_offender(x, bad)
-                )
+            base = _divisor(base, x)
         return np.power(base, expr.exponent)
     raise TypeError("not an expression node: %r" % (expr,))
 
@@ -375,7 +355,10 @@ def _pow(base, exponent):
     if exponent == 1:
         return base
     if _is_const(base):
-        return Const(base.value**exponent)
+        try:
+            return Const(base.value**exponent)
+        except (OverflowError, ZeroDivisionError):
+            pass  # left unfolded: evaluate reports it as a domain error at x
     return Pow(base, exponent)
 
 
@@ -388,24 +371,7 @@ def differentiate(expr):
     if isinstance(expr, Neg):
         return _neg(differentiate(expr.arg))
     if isinstance(expr, Call):
-        inner = differentiate(expr.arg)
-        if expr.fn == "sin":
-            outer = Call("cos", expr.arg)
-        elif expr.fn == "cos":
-            outer = _neg(Call("sin", expr.arg))
-        elif expr.fn == "sinh":
-            outer = Call("cosh", expr.arg)
-        elif expr.fn == "cosh":
-            outer = Call("sinh", expr.arg)
-        elif expr.fn == "tanh":
-            outer = _sub(Const(1.0), _pow(Call("tanh", expr.arg), 2))
-        elif expr.fn == "exp":
-            outer = expr
-        elif expr.fn == "sqrt":
-            outer = _div(Const(1.0), _mul(Const(2.0), expr))
-        else:
-            raise ValueError("no derivative rule for '%s'" % expr.fn)
-        return _mul(outer, inner)
+        return _mul(FUNCTIONS[expr.fn][1](expr.arg), differentiate(expr.arg))
     if isinstance(expr, BinOp):
         dl = differentiate(expr.left)
         dr = differentiate(expr.right)
@@ -427,9 +393,6 @@ def differentiate(expr):
 # printing
 
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
 def to_source(expr):
     """Render the tree as parseable text (round-trips through parse)."""
     return _render(expr, 0)
@@ -442,7 +405,7 @@ def _render(expr, parent_prec):
             text = "-1e999" if value < 0 else "1e999"  # parses back to +-inf
         else:
             text = repr(int(value)) if value == int(value) else repr(value)
-        if value < 0 and parent_prec >= 3:
+        if value < 0 and parent_prec >= 2:  # as Neg prints
             return "(%s)" % text
         return text
     if isinstance(expr, Var):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -624,8 +625,10 @@ def test_verify_rejects_an_infinite_grid_end(capsys):
         ("--W=1e200*x", "--antideriv", "5e199*x^2", "--a", "0.5", "--b", "2", "--N", "10"),
         ("--W=1e200*x", "--antideriv", "5e199*x^2", "--a", "0.5", "--b", "2", "--N", "10",
          "--format", "csv"),
+        # 1e200^2 in the derivative overflows a Python float power
+        ("--W=1e200^3*x", "--a", "1", "--b", "2", "--N", "5"),
     ],
-    ids=["sinh_overflow", "infinite_constant", "report_json", "report_csv"],
+    ids=["sinh_overflow", "infinite_constant", "report_json", "report_csv", "constant_power"],
 )
 def test_derive_non_finite_value_is_a_domain_error(capsys, argv):
     with np.errstate(all="ignore"):
@@ -640,6 +643,30 @@ def _strict_json(text):
         raise AssertionError("report holds %s" % token)
 
     return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("derive", "--W=exp(x)", "--a", "0.5", "--b", "800"),
+        ("verify", "--model", "scarf2", "--param", "A=1e308"),
+    ],
+    ids=["exp_overflow", "product_overflow"],
+)
+def test_domain_error_prints_no_numpy_warning(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("evaluation error: non-finite value")
+
+
+def test_unwritable_out_path_is_a_spec_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "catalog", "--out", str(target))
+    assert code == 2
+    assert err.startswith("specification error: cannot write report: ")
+    assert not target.exists()
 
 
 def test_spectrum_unmatched_level_reads_null(capsys):

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pseudoherm.expressions import (
+    _PREC,
+    FUNCTIONS,
     BinOp,
     Call,
     Const,
@@ -119,6 +123,46 @@ def test_print_parse_round_trip(source, env, lo, hi):
         )
 
 
+def expression_trees():
+    leaves = st.one_of(
+        st.just(Var()),
+        st.sampled_from(["A", "xi"]).map(Param),
+        # + 0.0 turns -0.0 into 0.0: the printer writes both as 0
+        st.floats(-1e3, 1e3, allow_nan=False).map(lambda v: Const(v + 0.0)),
+    )
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.builds(Neg, sub),
+            st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), sub),
+            st.builds(BinOp, st.sampled_from(sorted(_PREC)), sub, sub),
+            st.builds(Pow, sub, st.integers(-3, 3)),
+        ),
+        max_leaves=12,
+    )
+
+
+def _outcome(tree, xs, env):
+    try:
+        with np.errstate(all="ignore"):
+            return evaluate(tree, xs, env).tobytes()
+    except EvaluationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expression_trees())
+def test_printed_source_is_a_fixed_point_of_parse(tree):
+    """Printing is stable after one round through parse, and the reparsed
+    tree evaluates bit for bit like the original, or fails with the same
+    message at the same x."""
+    source = to_source(tree)
+    reparsed = parse(source)
+    assert to_source(reparsed) == source
+    xs, env = np.linspace(-2.0, 2.0, 9), {"A": 1.5, "xi": -0.7}
+    assert _outcome(reparsed, xs, env) == _outcome(tree, xs, env)
+
+
 def test_syntax_error_carries_column():
     with pytest.raises(ExprSyntaxError) as info:
         parse("2*(x+")
@@ -140,6 +184,8 @@ def test_exponent_must_be_integer():
         parse("x^2.5")
     with pytest.raises(ExprSyntaxError):
         parse("x^A")
+    with pytest.raises(ExprSyntaxError, match="exponent must be a constant integer at column 2"):
+        parse("x^1e999")
 
 
 def test_negative_integer_exponent_allowed():
@@ -160,6 +206,9 @@ def test_division_by_zero_reports_x():
 def test_division_by_zero_in_array():
     with pytest.raises(EvaluationError, match="division by zero"):
         evaluate(parse("1/x"), np.array([1.0, 0.0, 2.0]))
+    # a divisor that does not depend on x fails at the first x
+    with pytest.raises(EvaluationError, match="division by zero at x = 1"):
+        evaluate(parse("1/0 + x"), np.array([1.0, 2.0]))
 
 
 def test_negative_power_of_zero_is_division_by_zero():
@@ -205,3 +254,6 @@ def test_constant_folding_in_derivatives():
     assert differentiate(parse("3*x")) == Const(3.0)
     assert differentiate(parse("x^2")) == BinOp("*", Const(2.0), Var())
     assert differentiate(parse("A")) == Const(0.0)
+    # powers that Python's float ** cannot fold stay trees for evaluate to refuse
+    assert differentiate(parse("1e200^3*x")) == Pow(Const(1e200), 3)
+    assert differentiate(parse("0^-1*x")) == Pow(Const(0.0), -1)
