@@ -39,19 +39,23 @@ class CatalogEntry:
     eigenfunctions: dict = field(default_factory=dict)
     scarf_s_t: tuple = None
     continuum_threshold: float = None
-    solvable: bool = True
     notes: str = ""
 
     @property
     def spectrum_window(self):
         """The `below` of the eigenvalue window that spectrum solves in: the
         continuum threshold, else LEVEL_MARGIN above the top analytic level,
-        else None (the full spectrum)."""
+        else None: the model has no spectrum to solve."""
         if self.continuum_threshold is not None:
             return self.continuum_threshold
         if self.analytic_levels:
             return max(self.analytic_levels) + LEVEL_MARGIN
         return None
+
+    @property
+    def solvable(self):
+        """Whether the model has a spectrum, that is, a spectrum_window."""
+        return self.spectrum_window is not None
 
 
 def scarf_parameters(A):
@@ -185,7 +189,6 @@ def _constant_w(env):
         analytic_V=None,
         analytic_levels=(),
         grid=Grid(-20.0, 20.0, 2000),
-        solvable=False,
         notes="degenerate constant generator; the real part of the"
         " effective potential is unbounded below, so no bound states"
         " exist and no spectrum is asserted",

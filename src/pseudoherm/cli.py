@@ -20,6 +20,7 @@ failure.  Every report embeds the resolved configuration that produced it.
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -81,7 +82,28 @@ def _parse_params(pairs):
             params[key] = float(value)
         except ValueError:
             raise SpecError("parameter '%s' has non-numeric value '%s'" % (key, value))
+        if not math.isfinite(params[key]):
+            raise SpecError("--param %s must be finite, got '%s'" % (key, value))
     return params
+
+
+def _finite(text):
+    """argparse type of a float option: NaN and infinity are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid float value: '%s'" % text) from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be finite, got '%s'" % text)
+    return value
+
+
+def _tolerance(text):
+    """argparse type of a tolerance: a finite float >= 0."""
+    value = _finite(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError("must not be negative, got '%s'" % text)
+    return value
 
 
 def _config_from_args(args):
@@ -274,6 +296,8 @@ def _sweep_runs(cfg):
         values = [float(v) for v in values.split(",")]
     except ValueError:
         raise SpecError("non-numeric sweep value in '%s'" % cfg.sweep)
+    if not all(map(math.isfinite, values)):
+        raise SpecError("--sweep values must be finite, got '%s'" % cfg.sweep)
     return [
         (dataclasses.replace(cfg, params={**cfg.params, name: v}, sweep=None), {name: v})
         for v in values
@@ -391,8 +415,8 @@ def build_parser():
         "--param", action="append", dest="params", metavar="NAME=VALUE",
         help="bind a parameter",
     )
-    shared.add_argument("--alpha", type=float)
-    shared.add_argument("--beta", type=float)
+    shared.add_argument("--alpha", type=_finite)
+    shared.add_argument("--beta", type=_finite)
     shared.add_argument("--a", type=float, help="left end of the grid")
     shared.add_argument("--b", type=float, help="right end of the grid")
     shared.add_argument("--N", type=int, help="interior grid points")
@@ -402,7 +426,7 @@ def build_parser():
     verify = sub.add_parser(
         "verify", parents=[shared], help="residuals of the defining identities"
     )
-    verify.add_argument("--tol-intertwine", type=float)
+    verify.add_argument("--tol-intertwine", type=_tolerance)
     verify.add_argument("--H-csv", help="external Hamiltonian CSV")
     verify.add_argument("--eta-csv", help="external metric CSV")
     spectrum = sub.add_parser(
@@ -410,7 +434,7 @@ def build_parser():
         help="eigenvalues below a catalog model's window (certified count),"
         " or the full spectrum of an inline model",
     )
-    spectrum.add_argument("--tol-level", type=float)
+    spectrum.add_argument("--tol-level", type=_tolerance)
     spectrum.add_argument(
         "--sweep", metavar="NAME=v1,v2,...", help="repeat over parameter values"
     )

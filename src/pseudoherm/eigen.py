@@ -18,13 +18,15 @@ eig is the one solver entry point, with two paths:
   the converged Ritz values in the box number exactly the certified count.
   A mismatch at the largest dimension raises EigenSolverError.
 
-Post-processing classifies reality, reports a defective level that
-discretization split in two as one level at its group mean, separates
-grid-localized bound states from discretized continuum, matches computed
-levels against analytic ones, and measures how well a closed-form
-eigenfunction satisfies the discrete eigenvalue equation.
+Post-processing reports a defective level that discretization split in
+two as one level at its group mean, separates grid-localized bound states
+from discretized continuum, matches computed levels against analytic ones,
+and measures how well a closed-form eigenfunction satisfies the discrete
+eigenvalue equation.  Every report comes from one constructor, _report,
+which sorts it by (re, im) and sets its reality flags.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,9 +85,10 @@ class LevelMatch:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Eigenvalues sorted by real part, with right-eigenvector residuals
+    """Eigenvalues sorted by (re, im), with right-eigenvector residuals
     ||Mv - lambda v||_2 / (||M||_F ||v||_2) and reality flags
-    |Im| <= TAU_REAL * max(1, |Re|).  group_sizes, set once split levels
+    |Im| <= TAU_REAL * max(1, |Re|); the ordering and the flags come from
+    _report, the one constructor.  group_sizes, set once split levels
     are merged, counts the computed eigenvalues behind each entry.  A
     window solve sets below and certified_count, the number of eigenvalues
     with real part below it."""
@@ -100,8 +103,22 @@ class SpectrumReport:
     certified_count: int = None
 
 
-def is_real_eigenvalue(value, tol=TAU_REAL):
-    return abs(value.imag) <= tol * max(1.0, abs(value.real))
+def _report(values, vectors, residuals, group_sizes=None, **fields):
+    """The report of eigenpairs (values, columns of vectors), sorted by
+    (re, im).  residuals and group_sizes follow the order of values;
+    residuals may instead be a function of the sorted values and vectors,
+    since a BLAS product rounds a column differently by its position.
+    fields are the remaining SpectrumReport fields."""
+    order = np.lexsort((values.imag, values.real))
+    values, vectors = values[order], vectors[:, order]
+    return SpectrumReport(
+        eigenvalues=values,
+        residuals=residuals(values, vectors) if callable(residuals) else residuals[order],
+        reality_flags=np.abs(values.imag) <= TAU_REAL * np.maximum(1.0, np.abs(values.real)),
+        eigenvectors=vectors,
+        group_sizes=None if group_sizes is None else group_sizes[order],
+        **fields,
+    )
 
 
 def eig(op, below=None):
@@ -118,21 +135,9 @@ def eig(op, below=None):
         values, vectors = np.linalg.eig(matrix)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError("QR iteration did not converge: %s" % exc) from exc
-    order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    vectors = vectors[:, order]
     scale = np.linalg.norm(matrix)
-    defect = matrix @ vectors - vectors * values
-    residuals = np.linalg.norm(defect, axis=0) / (
-        scale * np.linalg.norm(vectors, axis=0)
-    )
-    flags = np.array([is_real_eigenvalue(v) for v in values])
-    return SpectrumReport(
-        eigenvalues=values,
-        residuals=residuals,
-        reality_flags=flags,
-        eigenvectors=vectors,
-    )
+    return _report(values, vectors, lambda values, vectors: np.linalg.norm(
+        matrix @ vectors - vectors * values, axis=0) / (scale * np.linalg.norm(vectors, axis=0)))
 
 
 def _eig_window(op, below):
@@ -163,17 +168,8 @@ def _eig_window(op, below):
                 " counts %d eigenvalues there"
                 % (np.count_nonzero(keep), below, count)
             )
-    order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    vectors = vectors[:, order]
-    return SpectrumReport(
-        eigenvalues=values,
-        residuals=_band_residuals(diag, lower, upper, values, vectors),
-        reality_flags=np.array([is_real_eigenvalue(v) for v in values], dtype=bool),
-        eigenvectors=vectors,
-        below=below,
-        certified_count=count,
-    )
+    return _report(values, vectors, functools.partial(_band_residuals, diag, lower, upper),
+                   below=below, certified_count=count)
 
 
 def window_box(diag, lower, upper, below):
@@ -351,12 +347,8 @@ def _shift_invert_ritz(factors, n, sigma):
         if m >= limit or hessenberg[m, m - 1] == 0.0:
             return
         k, m = m, min(2 * m, limit)
-        grown = np.zeros((m + 1, n), dtype=complex)
-        grown[:k + 1] = basis[:k + 1]
-        basis = grown
-        grown = np.zeros((m + 1, m), dtype=complex)
-        grown[:k + 1, :k] = hessenberg[:k + 1, :k]
-        hessenberg = grown
+        basis = np.pad(basis, ((0, m - k), (0, 0)))
+        hessenberg = np.pad(hessenberg, ((0, m - k), (0, m - k)))
 
 
 def _band_residuals(diag, lower, upper, values, vectors):
@@ -387,13 +379,7 @@ def merge_split_levels(report):
     """
     values = report.eigenvalues
     vectors = report.eigenvectors
-    root = np.arange(values.size)
-
-    def find(k):
-        while root[k] != k:
-            k = root[k]
-        return k
-
+    group = np.arange(values.size)  # each group is labelled by one member
     order = np.argsort(values.real, kind="stable")
     for pos, i in enumerate(order):
         for j in order[pos + 1:]:
@@ -402,55 +388,33 @@ def merge_split_levels(report):
             if abs(values[j] - values[i]) > SPLIT_WINDOW:
                 continue
             cos = abs(np.vdot(vectors[:, i], vectors[:, j])) / (
-                np.linalg.norm(vectors[:, i]) * np.linalg.norm(vectors[:, j])
-            )
+                np.linalg.norm(vectors[:, i]) * np.linalg.norm(vectors[:, j]))
             if 1.0 - cos <= TAU_PARALLEL:
-                root[find(j)] = find(i)
-    heads, labels = np.unique(
-        np.array([find(k) for k in range(values.size)], dtype=int), return_inverse=True
-    )
+                group[group == group[j]] = group[i]
+    heads, labels = np.unique(group, return_inverse=True)
+    sizes = np.bincount(labels)
     means = values[heads]
-    for g in np.flatnonzero(np.bincount(labels) > 1):
-        members = labels == g
-        means[g] = np.mean(values[members])
+    for g in np.flatnonzero(sizes > 1):
+        means[g] = np.mean(values[labels == g])
     residuals = np.zeros(heads.size)
     np.maximum.at(residuals, labels, report.residuals)
-    order = np.lexsort((means.imag, means.real))
-    means = means[order]
-    return SpectrumReport(
-        eigenvalues=means,
-        residuals=residuals[order],
-        reality_flags=np.array([is_real_eigenvalue(v) for v in means], dtype=bool),
-        eigenvectors=vectors[:, heads[order]],
-        matches=report.matches,
-        group_sizes=np.bincount(labels)[order],
-    )
+    return _report(means, vectors[:, heads], residuals, group_sizes=sizes,
+                   matches=report.matches)
 
 
 def bound_state_filter(report, grid, v_inf):
     """Keep eigenvalues below v_inf whose eigenvectors hold at least 99.9%
     of their l2 mass in the inner 80% of the grid, with each split defective
     level merged into one entry (merge_split_levels)."""
-    n = grid.n
-    margin = int(round(0.5 * (1.0 - INNER_FRACTION) * n))
-    inner = slice(margin, n - margin)
-    keep = []
-    for i, value in enumerate(report.eigenvalues):
-        if value.real >= v_inf:
-            continue
-        vec = report.eigenvectors[:, i]
-        total = np.sum(np.abs(vec) ** 2)
-        if np.sum(np.abs(vec[inner]) ** 2) >= BOUND_MASS_FRACTION * total:
-            keep.append(i)
-    keep = np.array(keep, dtype=int)
-    return merge_split_levels(
-        SpectrumReport(
-            eigenvalues=report.eigenvalues[keep],
-            residuals=report.residuals[keep],
-            reality_flags=report.reality_flags[keep],
-            eigenvectors=report.eigenvectors[:, keep],
-        )
-    )
+    margin = int(round(0.5 * (1.0 - INNER_FRACTION) * grid.n))
+    # one vector per contiguous row: numpy then sums each vector pairwise,
+    # as np.sum does for one vector, where a column sum adds row by row
+    mass = np.abs(report.eigenvectors.T, order="C") ** 2
+    inner = np.sum(mass[:, margin:grid.n - margin], axis=1)
+    keep = (report.eigenvalues.real < v_inf) & (
+        inner >= BOUND_MASS_FRACTION * np.sum(mass, axis=1))
+    return merge_split_levels(_report(
+        report.eigenvalues[keep], report.eigenvectors[:, keep], report.residuals[keep]))
 
 
 def match_levels(report, analytic, tol):
@@ -469,24 +433,19 @@ def match_levels(report, analytic, tol):
     if report.group_sizes is None:
         report = merge_split_levels(report)
     values = report.eigenvalues
-    if values.size == 0:
-        return [LevelMatch(lv, complex("nan"), float("inf"), False) for lv in levels]
-    pairs = sorted(
-        ((abs(values[j] - lv), i, j) for i, lv in enumerate(levels) for j in range(values.size)),
-        key=lambda t: (t[0], t[1], t[2]),
-    )
-    assigned = {}
-    used = set()
-    for distance, i, j in pairs:
-        if i in assigned or j in used:
-            continue
-        assigned[i] = (values[j], distance)
-        used.add(j)
-    out = []
-    for i, lv in enumerate(levels):
-        value, distance = assigned.get(i, (complex("nan"), float("inf")))
-        out.append(LevelMatch(lv, complex(value), float(distance), distance <= tol))
-    return out
+    # hypot rounds like the scalar abs(); np.abs on a complex array does not
+    gap = values[None, :] - np.array(levels, dtype=float)[:, None]
+    distance = np.hypot(gap.real, gap.imag)
+    # a stable sort of the flattened matrix orders pairs by (distance, i, j)
+    rows, cols = np.unravel_index(np.argsort(distance, axis=None, kind="stable"), distance.shape)
+    matches, used = {}, set()
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if i not in matches and j not in used:
+            d = float(distance[i, j])
+            matches[i] = LevelMatch(levels[i], complex(values[j]), d, d <= tol)
+            used.add(j)
+    return [matches.get(i, LevelMatch(lv, complex("nan"), float("inf"), False))
+            for i, lv in enumerate(levels)]
 
 
 def eigenfunction_residual(model, grid, psi, energy):

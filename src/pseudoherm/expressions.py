@@ -171,6 +171,8 @@ class _Parser:
         tok = self.advance()
         if tok[0] != "num" or not tok[1].is_integer():  # refuses 1e999 too
             raise ExprSyntaxError("exponent must be a constant integer", tok[2])
+        if tok[1] >= 2**53:  # from 2^53 on, a float need not be the integer written
+            raise ExprSyntaxError("exponent must be below 2^53 in magnitude", tok[2])
         return Pow(base, sign * int(tok[1]))
 
     def parse_atom(self):
@@ -299,9 +301,15 @@ def _is_const(expr, value=None):
     return isinstance(expr, Const) and (value is None or expr.value == value)
 
 
+def _fold(value, unfolded):
+    # a fold that gives NaN (inf - inf, inf * 0, inf / inf) stays a tree:
+    # evaluate reports it as a domain error at x, and NaN has no source text
+    return unfolded if np.isnan(value) else Const(value)
+
+
 def _add(left, right):
     if _is_const(left) and _is_const(right):
-        return Const(left.value + right.value)
+        return _fold(left.value + right.value, BinOp("+", left, right))
     if _is_const(left, 0.0):
         return right
     if _is_const(right, 0.0):
@@ -311,7 +319,7 @@ def _add(left, right):
 
 def _sub(left, right):
     if _is_const(left) and _is_const(right):
-        return Const(left.value - right.value)
+        return _fold(left.value - right.value, BinOp("-", left, right))
     if _is_const(right, 0.0):
         return left
     if _is_const(left, 0.0):
@@ -321,7 +329,7 @@ def _sub(left, right):
 
 def _mul(left, right):
     if _is_const(left) and _is_const(right):
-        return Const(left.value * right.value)
+        return _fold(left.value * right.value, BinOp("*", left, right))
     if _is_const(left, 0.0) or _is_const(right, 0.0):
         return Const(0.0)
     if _is_const(left, 1.0):
@@ -337,7 +345,7 @@ def _div(left, right):
     if _is_const(right, 1.0):
         return left
     if _is_const(left) and _is_const(right) and right.value != 0.0:
-        return Const(left.value / right.value)
+        return _fold(left.value / right.value, BinOp("/", left, right))
     return BinOp("/", left, right)
 
 

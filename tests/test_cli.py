@@ -565,6 +565,29 @@ def test_bad_sweep_syntax(capsys, sweep, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (("spectrum", "--param", "A=nan"), "--param A"),
+        (("verify", "--param", "A=4", "--alpha", "nan"), "--alpha"),
+        (("verify", "--param", "A=4", "--beta", "inf"), "--beta"),
+        (("spectrum", "--param", "A=4", "--tol-level", "nan"), "--tol-level"),
+        (("verify", "--param", "A=4", "--tol-intertwine", "nan"), "--tol-intertwine"),
+        (("spectrum", "--sweep", "A=3,inf"), "--sweep"),
+        (("spectrum", "--param", "A=4", "--tol-level", "-1"), "--tol-level"),
+        (("verify", "--param", "A=4", "--tol-intertwine", "-0.0001"), "--tol-intertwine"),
+    ],
+    ids=["param_nan", "alpha_nan", "beta_inf", "tol_level_nan", "tol_intertwine_nan",
+         "sweep_inf", "tol_level_negative", "tol_intertwine_negative"],
+)
+def test_non_finite_or_negative_option_is_a_specification_error(capsys, argv, option):
+    command, *rest = argv
+    code, out, err = run(capsys, command, "--model", "scarf2", "--N", "20", *rest)
+    assert code == 2
+    assert out == ""
+    assert option in err
+
+
 def test_inline_antiderivative_is_checked_on_the_run_grid(capsys):
     # sqrt(x) is undefined left of 0, so a check outside [a, b] cannot run
     code, report = run_json(

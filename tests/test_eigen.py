@@ -3,13 +3,16 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from pseudoherm import eigen
 from pseudoherm.catalog import get
 from pseudoherm.eigen import (
     TAU_SOLVER,
     EigenSolverError,
+    SpectrumReport,
     ZeroEigenfunctionError,
     bound_state_filter,
     eig,
@@ -164,6 +167,72 @@ def test_match_levels_is_exclusive():
     report = eig(np.diag([1.0, 5.0]).astype(complex))
     matches = match_levels(report, [1.0, 1.0], 0.5)
     assert [m.matched for m in matches] == [True, False]
+
+
+def _greedy_reference(values, analytic, tol):
+    """The greedy pass written out: every (distance, level, value) triple
+    sorted, each level and value used at most once."""
+    levels = sorted(analytic)
+    pairs = sorted(
+        (abs(values[j] - lv), i, j) for i, lv in enumerate(levels) for j in range(values.size)
+    )
+    assigned, used = {}, set()
+    for distance, i, j in pairs:
+        if i not in assigned and j not in used:
+            assigned[i] = (complex(values[j]), float(distance))
+            used.add(j)
+    out = []
+    for i, lv in enumerate(levels):
+        value, distance = assigned.get(i, (complex("nan"), float("inf")))
+        out.append((lv, repr(value), distance, distance <= tol))
+    return out
+
+
+# quarter steps make exact distance ties (0 is 0.25 from both -0.25 and
+# 0.25) and duplicated values common
+QUARTERS = st.integers(-8, 8).map(lambda k: k / 4.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    analytic=st.lists(QUARTERS, max_size=6),
+    values=st.lists(
+        st.builds(complex, QUARTERS, st.sampled_from([0.0, 0.5, -0.5])), max_size=8),
+    tol=st.sampled_from([0.0, 0.25, 1.0]),
+    v_inf=QUARTERS,
+    seed=st.integers(0, 2**16),
+)
+def test_post_processing_matches_its_loop_references(analytic, values, tol, v_inf, seed):
+    values = np.sort(np.array(values, dtype=complex))
+    n, size = 12, values.size
+    # random columns whose edge rows are damped by 1 to 1e-4, so their
+    # inner mass falls on both sides of BOUND_MASS_FRACTION
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((n, size)) + 1j * rng.standard_normal((n, size))
+    edge = np.r_[0, n - 1]
+    vectors[edge] *= 10.0 ** rng.uniform(-4.0, 0.0, size)
+    report = SpectrumReport(
+        eigenvalues=values,
+        residuals=np.zeros(size),
+        reality_flags=values.imag == 0.0,
+        eigenvectors=vectors,
+        group_sizes=np.ones(size, dtype=int),
+    )
+    got = [(m.level, repr(m.eigenvalue), m.distance, m.matched)
+           for m in match_levels(report, analytic, tol)]
+    assert got == _greedy_reference(values, analytic, tol)
+
+    inner = slice(1, n - 1)  # Grid(0, 1, 12) keeps 80% of 12 rows: 1 to 10
+    keep = [
+        j for j in range(size)
+        if values[j].real < v_inf
+        and np.sum(np.abs(vectors[inner, j]) ** 2)
+        >= eigen.BOUND_MASS_FRACTION * np.sum(np.abs(vectors[:, j]) ** 2)
+    ]
+    filtered = bound_state_filter(report, Grid(0.0, 1.0, n), v_inf)
+    assert_array_equal(filtered.eigenvalues, values[keep])
+    assert_array_equal(filtered.eigenvectors, vectors[:, keep])
+    assert filtered.group_sizes.tolist() == [1] * len(keep)
 
 
 # ---------------------------------------------------------------------------

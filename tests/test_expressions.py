@@ -186,6 +186,12 @@ def test_exponent_must_be_integer():
         parse("x^A")
     with pytest.raises(ExprSyntaxError, match="exponent must be a constant integer at column 2"):
         parse("x^1e999")
+    # from 2^53 on, the float read need not be the integer written, so the
+    # printed derivative of x^1e20 would parse back to another exponent
+    for source in ("x^1e20", "x^-9007199254740993", "x^9007199254740992"):
+        with pytest.raises(ExprSyntaxError, match="below 2\\^53"):
+            parse(source)
+    assert parse("x^-9007199254740991") == Pow(Var(), -(2**53 - 1))
 
 
 def test_negative_integer_exponent_allowed():
@@ -244,6 +250,25 @@ def test_infinite_constant_round_trips_through_source(source):
 def test_negative_infinite_constant_renders_as_a_literal():
     assert to_source(Const(float("-inf"))) == "-1e999"
     assert to_source(Pow(Const(float("-inf")), 2)) == "(-1e999)^2"
+
+
+@pytest.mark.parametrize(
+    "source,unfolded",
+    [
+        ("1e999*3", BinOp("*", Const(float("inf")), Const(0.0))),
+        ("1e999*x - 1e999*x", BinOp("-", Const(float("inf")), Const(float("inf")))),
+        ("x/1e999", BinOp("/", Const(float("inf")), Const(float("inf")))),
+    ],
+    ids=["inf_times_zero", "inf_minus_inf", "inf_over_inf"],
+)
+def test_constant_fold_to_nan_stays_a_tree(source, unfolded):
+    derivative = differentiate(parse(source))
+    assert derivative == unfolded
+    # NaN has no source text; the unfolded tree prints, parses back, and
+    # evaluate refuses its value as a domain error
+    assert parse(to_source(derivative)) == derivative
+    with np.errstate(all="ignore"), pytest.raises(EvaluationError, match="non-finite value"):
+        evaluate(derivative, np.array([1.0, 2.0]))
 
 
 def test_free_parameters_collects_names():
