@@ -1,15 +1,14 @@
 """Ready-made models: three exactly solvable generators and one degenerate
 constant generator.
 
-Each solvable entry bundles the generator spec with its closed-form
-antiderivative, the known real potential, the analytic bound/band levels,
-eigenfunction formulas where available, and a recommended grid.  The morse
-reference ground state does not decay on it: it grows like e^(-x/2)
-towards the left end, so its level is not an eigenvalue of the Dirichlet
-problem on the real line.
-
-MODELS names each model's parameters; get requires all of them and refuses
-any other.  alpha and beta are not parameters: they are set on the spec.
+Each model is a MODELS row of data: its parameters, W and its closed-form
+antiderivative (parsed once, at import), the known real potential, the
+analytic levels, a recommended grid, and a function of the bound parameters
+that returns the fields they change (levels, eigenfunctions).  get builds
+the spec and checks its antiderivative on the grid span before it calls that
+function.  alpha and beta are set on the spec, not parameters.  The morse
+reference ground state grows like e^(-x/2) towards the left end of its grid,
+so its level is not an eigenvalue of the Dirichlet problem on the real line.
 """
 
 import functools
@@ -23,6 +22,8 @@ from .generator import GeneratorSpec, SpecError
 from .operators import Grid
 
 PERIODIC_LEVEL_CUTOFF = 8
+_PERIODIC_N = range(1, PERIODIC_LEVEL_CUTOFF + 1)
+_GRID_N = 2000  # interior points of every recommended grid
 # A model with analytic levels but no continuum solves up to this far above
 # its top level: periodic up to 17, clear of its next Dirichlet level near
 # 81/4 = 20.25.
@@ -110,98 +111,80 @@ def morse_eigenfunction(xi, z_scale=1j):
     return psi
 
 
-def _scarf2(env):
-    A = float(env["A"])
-    return dict(
-        spec=GeneratorSpec(
-            W="-A*sinh(x)/cosh(x)^2",
-            antiderivative="A/cosh(x)",
-            alpha=0.0,
-            beta=-0.25,
-            env={"A": A},
-            check_interval=(-12.0, 12.0),
-        ),
+def _scarf2(A):
+    top = 2 * _GRID_N + 1  # ceil((|A|-1)/2) ladder levels, one per grid point at most
+    if abs(A) > top:
+        raise SpecError("model 'scarf2' requires |A| <= %d, got A=%g" % (top, A))
+    return dict(analytic_levels=scarf_levels(A), scarf_s_t=scarf_parameters(A))
+
+
+def _constant_w(W0, C0):
+    if W0 == 0.0:
+        raise SpecError("constant generator requires W0 != 0")
+    return {}
+
+
+def _row(required, of_params, W, antiderivative, beta=0.0, **fields):
+    """A MODELS row: (parameters, spec fields, fixed entry fields, of_params)."""
+    spec = dict(W=W, antiderivative=antiderivative, beta=beta)
+    return required, spec, fields, of_params
+
+
+MODELS = {
+    "scarf2": _row(
+        ("A",),
+        _scarf2,
+        W=parse("-A*sinh(x)/cosh(x)^2"),
+        antiderivative=parse("A/cosh(x)"),
+        beta=-0.25,
         analytic_V=parse("-(3+A^2)/(4*cosh(x)^2)"),
-        analytic_levels=scarf_levels(A),
-        grid=Grid(-12.0, 12.0, 2000),
-        scarf_s_t=scarf_parameters(A),
+        grid=Grid(-12.0, 12.0, _GRID_N),
         continuum_threshold=0.0,
-        notes="hyperbolic model, V even and W odd; levels from both"
-        " quasi-parity branches below the continuum at 0, which meet at"
-        " -1/4 for even A",
-    )
-
-
-def _periodic(env):
-    return dict(
-        spec=GeneratorSpec(
-            W="4*sin(2*x)/(3*(cos(x)^2-4/3)^2)",
-            antiderivative="4/(3*(cos(x)^2-4/3))",
-            alpha=0.0,
-            beta=1.0,
-            env={},
-            check_interval=(-math.pi, math.pi),
+        notes="hyperbolic model, V even and W odd; levels from both quasi-parity"
+        " branches below the continuum at 0, which meet at -1/4 for even A",
+    ),
+    "periodic": _row(
+        (),
+        lambda: dict(  # a new dict per entry, shared by none
+            eigenfunctions={
+                n: functools.partial(periodic_eigenfunction, n) for n in _PERIODIC_N
+            }
         ),
+        W=parse("4*sin(2*x)/(3*(cos(x)^2-4/3)^2)"),
+        antiderivative=parse("4/(3*(cos(x)^2-4/3))"),
+        beta=1.0,
         analytic_V=parse("(-30*cos(x)^2+24)/(9*(cos(x)^2-4/3)^2)"),
-        analytic_levels=tuple(
-            n * n / 4.0 for n in range(1, PERIODIC_LEVEL_CUTOFF + 1) if n != 2
-        ),
-        grid=Grid(-math.pi, math.pi, 2000),
-        eigenfunctions={
-            n: functools.partial(periodic_eigenfunction, n)
-            for n in range(1, PERIODIC_LEVEL_CUTOFF + 1)
-        },
+        analytic_levels=tuple(n * n / 4.0 for n in _PERIODIC_N if n != 2),
+        grid=Grid(-math.pi, math.pi, _GRID_N),
         notes="levels n^2/4 with the n=2 state missing (its closed form"
         " cancels to zero); box domain fixed at (-pi, pi)",
-    )
-
-
-def _morse(env):
-    xi = float(env["xi"])
-    return dict(
-        spec=GeneratorSpec(
-            W="-xi*exp(-x)",
-            antiderivative="xi*exp(-x)",
-            alpha=0.0,
-            beta=-0.25,
-            env={"xi": xi},
-            check_interval=(-2.0, 14.0),
-        ),
+    ),
+    "morse": _row(
+        ("xi",),
+        lambda xi: dict(eigenfunctions={0: morse_eigenfunction(xi)}),
+        W=parse("-xi*exp(-x)"),
+        antiderivative=parse("xi*exp(-x)"),
+        beta=-0.25,
         analytic_V=parse("-xi^2*exp(-2*x)/4"),
         analytic_levels=(-0.25,),
-        grid=Grid(-2.0, 14.0, 2000),
-        eigenfunctions={0: morse_eigenfunction(xi)},
+        grid=Grid(-2.0, 14.0, _GRID_N),
         continuum_threshold=0.0,
         notes="exponential model, not PT symmetric; single analytic"
         " level at -1/4 with eigenfunction scale z = i*xi*exp(-x), which"
         " grows towards -inf, so the real-line grid holds no state there",
-    )
-
-
-def _constant_w(env):
-    W0, C0 = float(env["W0"]), float(env["C0"])
-    if W0 == 0.0:
-        raise SpecError("constant generator requires W0 != 0")
-    return dict(
-        spec=GeneratorSpec(
-            W="W0", antiderivative="W0*x + C0", env={"W0": W0, "C0": C0}
-        ),
+    ),
+    "constant_w": _row(
+        ("W0", "C0"),
+        _constant_w,
+        W=parse("W0"),
+        antiderivative=parse("W0*x + C0"),
         analytic_V=None,
         analytic_levels=(),
-        grid=Grid(-20.0, 20.0, 2000),
-        notes="degenerate constant generator; the real part of the"
-        " effective potential is unbounded below, so no bound states"
-        " exist and no spectrum is asserted",
-    )
-
-
-# name -> (parameters, builder); a builder reads its parameters from env
-# and returns the entry's fields other than its name.
-MODELS = {
-    "scarf2": (("A",), _scarf2),
-    "periodic": ((), _periodic),
-    "morse": (("xi",), _morse),
-    "constant_w": (("W0", "C0"), _constant_w),
+        grid=Grid(-20.0, 20.0, _GRID_N),
+        notes="degenerate constant generator; the real part of the effective"
+        " potential is unbounded below, so no bound states exist and no"
+        " spectrum is asserted",
+    ),
 }
 
 MODEL_NAMES = tuple(MODELS)
@@ -214,11 +197,13 @@ def get(name, env=None):
         raise SpecError(
             "unknown model '%s'; available: %s" % (name, ", ".join(MODEL_NAMES))
         )
-    required, build = MODELS[name]
-    for param in required:
+    required, spec_fields, fields, of_params = MODELS[name]
+    for param in (*required, *env):
         if param not in env:
             raise SpecError("model '%s' requires parameter '%s'" % (name, param))
-    for param in env:
         if param not in required:
             raise SpecError("model '%s' takes no parameter '%s'" % (name, param))
-    return CatalogEntry(name=name, **build(env))
+    params = {param: float(env[param]) for param in required}
+    grid = fields["grid"]
+    spec = GeneratorSpec(env=params, check_interval=(grid.a, grid.b), **spec_fields)
+    return CatalogEntry(name=name, spec=spec, **fields, **of_params(**params))

@@ -389,7 +389,7 @@ def cmd_catalog(cfg):
             cfg,
             [
                 {"name": name, "required_params": list(required)}
-                for name, (required, _) in catalog.MODELS.items()
+                for name, (required, *_) in catalog.MODELS.items()
             ],
         )
     return EXIT_OK

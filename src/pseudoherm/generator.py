@@ -67,10 +67,12 @@ class GeneratorSpec:
     """Input data for the derivation pipeline.
 
     W is the generator expression; antiderivative, when supplied, must be
-    a closed form of int^x W (verified against W at construction).  Without
-    it, evaluation falls back to composite Gauss-Legendre quadrature of W
-    from x = 0, so I(0) = 0 and V, Q are undefined at the origin.  Every
-    parameter of either expression must be bound in env.
+    a closed form of int^x W: at construction its derivative must agree with
+    W to ANTIDERIVATIVE_CHECK_TOL * max(1, max|W|) at 100 points of
+    check_interval.  Without it, evaluation falls back to composite
+    Gauss-Legendre quadrature of W from x = 0, so I(0) = 0 and V, Q are
+    undefined at the origin.  Every parameter of either expression must be
+    bound in env.
     """
 
     W: object
@@ -96,7 +98,7 @@ class GeneratorSpec:
         derived = evaluate(differentiate(self.antiderivative), xs, self.env)
         w = evaluate(self.W, xs, self.env)
         err = np.max(np.abs(derived - w))
-        if not err < ANTIDERIVATIVE_CHECK_TOL:
+        if not err < ANTIDERIVATIVE_CHECK_TOL * max(1.0, np.max(np.abs(w))):
             raise SpecError(
                 "antiderivative mismatch: |d/dx(%s) - W| reaches %.3g on [%g, %g]"
                 % (to_source(self.antiderivative), err, lo, hi)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -22,7 +24,7 @@ from pseudoherm.generator import SpecError, derive, effective_potential
 def test_model_names_all_resolve():
     env = {"A": 2.0, "xi": 1.0, "W0": 2.0, "C0": 0.0}
     for name in MODEL_NAMES:
-        required, _ = MODELS[name]
+        required, *_ = MODELS[name]
         assert get(name, {p: env[p] for p in required}).name == name
 
 
@@ -94,11 +96,47 @@ def test_missing_parameter_rejected():
         get("morse")
 
 
+def test_scarf_ladder_is_bounded_by_the_grid():
+    # 2000 ladder levels, one per grid point, and -1/4
+    assert len(get("scarf2", {"A": 4001.0}).analytic_levels) == 2000 + 1
+    for A in (4001.5, -4002.0, 1e200):
+        with pytest.raises(SpecError, match=r"requires \|A\| <= 4001"):
+            get("scarf2", {"A": A})
+
+
 def test_scarf_parameters():
     assert scarf_parameters(2.0) == (0.0, 2.0)
     assert scarf_parameters(4.0) == (1.0, 3.0)
     assert scarf_parameters(0.0) == (1.0, 1.0)
     assert get("scarf2", {"A": 4.0}).scarf_s_t == (1.0, 3.0)
+
+
+VALID = [
+    ("scarf2", {"A": 3.0}),
+    ("periodic", {}),
+    ("morse", {"xi": 1.0}),
+    ("constant_w", {"W0": 2.0, "C0": 0.5}),
+]
+
+
+@pytest.mark.parametrize("name,env", VALID)
+def test_spec_is_checked_on_the_grid_span(name, env):
+    entry = get(name, env)
+    assert entry.spec.check_interval == (entry.grid.a, entry.grid.b)
+
+
+@pytest.mark.parametrize("name,env", VALID)
+def test_entries_share_no_mutable_field(name, env):
+    first, second = get(name, env), get(name, env)
+    for entry_field in dataclasses.fields(first):
+        a, b = getattr(first, entry_field.name), getattr(second, entry_field.name)
+        if a is b:
+            try:
+                hash(a)
+            except TypeError:
+                pytest.fail("both entries hold one mutable %s" % entry_field.name)
+    assert first.spec.env is not second.spec.env
+    assert first.eigenfunctions is not second.eigenfunctions
 
 
 # ---------------------------------------------------------------------------

@@ -608,6 +608,28 @@ def test_inline_antiderivative_mismatch_on_the_run_grid(capsys):
     assert "antiderivative mismatch" in err
 
 
+def test_antiderivative_check_is_relative_to_w(capsys):
+    # |W| reaches 1e9, so the rounding of d/dx(W0*sin(x)^2) exceeds 1e-8
+    # in absolute terms while its relative error stays near 1e-16
+    code, report = run_json(
+        capsys, "derive", "--W=W0*sin(2*x)", "--antideriv=W0*sin(x)^2",
+        "--param", "W0=1e9", "--a", "0.5", "--b", "3",
+    )
+    assert code == 0
+    assert report["config"]["resolved_spec"]["antiderivative"] is not None
+
+
+@pytest.mark.parametrize("A", ["1e154", "1e200"])
+@pytest.mark.parametrize("command", [("verify", "--model", "scarf2", "--N", "50"),
+                                     ("catalog", "scarf2")])
+def test_scarf_ladder_too_long_for_the_grid_is_a_spec_error(capsys, command, A):
+    code, out, err = run(capsys, *command, "--param", "A=" + A)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("specification error: model 'scarf2' requires |A| <= 4001")
+    assert "got A=%g" % float(A) in err
+
+
 def test_derive_wide_window_keeps_decaying_antiderivative(capsys):
     # A/cosh(x) drops below any absolute threshold near |x| = 30 but never
     # vanishes; only a zero relative to W is a domain error
