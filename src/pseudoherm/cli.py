@@ -31,7 +31,7 @@ from .expressions import EvaluationError, ExprSyntaxError, evaluate, to_source
 from .generator import (
     GeneratorSpec,
     SpecError,
-    antiderivative,
+    _antiderivative_zero,
     derive,
     effective_potential,
     spec_to_config,
@@ -224,9 +224,10 @@ def cmd_derive(cfg):
 
 
 def _derive_constant(cfg, entry, spec, grid):
+    model = derive(spec)
     xs = np.linspace(grid.a, grid.b, DERIVE_SAMPLES)
-    xs = xs[np.abs(antiderivative(spec, xs)) > 1e-9]
-    veff = effective_potential(derive(spec), xs)
+    xs = xs[~_antiderivative_zero(model, xs)]
+    veff = effective_potential(model, xs)
     report = {
         "config": _config_dict(cfg, spec, grid),
         "columns": {

@@ -14,7 +14,9 @@ eig is the one solver entry point, with two paths:
   comes from the ratio recurrence r_j = d_j - z - l_(j-1) u_(j-1) / r_(j-1)
   around its edge.  Shift-invert Arnoldi (the design of ARPACK; Lehoucq,
   Sorensen & Yang, 1998) with the shift at the box centre and full
-  reorthogonalization finds them, and its Krylov dimension doubles until
+  reorthogonalization finds them; (H - sigma)^-1 is applied through an LU
+  factorization whose two triangular solves are recursive doubling scans
+  of ceil(log2 N) vector steps each.  The Krylov dimension doubles until
   the converged Ritz values in the box number exactly the certified count.
   A mismatch at the largest dimension raises EigenSolverError.
 
@@ -42,7 +44,6 @@ TAU_REAL = 1e-5
 # 3.1e-5; every other pair that close has 1 - |<v, w>| >= 0.9.
 TAU_PARALLEL = 1e-3
 SPLIT_WINDOW = 0.05
-TAU_SOLVER = 1e-8
 BOUND_MASS_FRACTION = 0.999
 INNER_FRACTION = 0.8
 
@@ -63,7 +64,6 @@ TAU_RITZ = 1e-12
 KRYLOV_START = 40
 KRYLOV_CAP = 640
 KRYLOV_SEED = 20261018
-SOLVE_BLOCK = 16
 
 
 class EigenSolverError(RuntimeError):
@@ -156,7 +156,7 @@ def _eig_window(op, below):
     vectors = np.zeros((n, 0), dtype=complex)
     if count:
         sigma = complex(0.5 * (box[0] + box[1]), 0.5 * (box[2] + box[3]))
-        factors = _tridiagonal_lu(lower, diag - sigma, upper)
+        factors = _tridiagonal_lu(diag - sigma, lower, upper)
         for values, vectors in _shift_invert_ritz(factors, n, sigma):
             keep = _inside(box, values)
             if np.count_nonzero(keep) == count:
@@ -250,14 +250,12 @@ def window_count(diag, couplings, box):
         z = np.insert(z, coarse + 1, middle)
 
 
-def _tridiagonal_lu(lower, diag, upper):
-    """M = LU without pivoting, prepared for _tridiagonal_solve.
-
-    L is unit lower bidiagonal and U upper bidiagonal.  Padded with
-    identity rows to whole blocks of SOLVE_BLOCK rows, each is kept as the
-    inverses of its diagonal blocks and the one entry per block that
-    couples it to the block before (L) or after (U)."""
-    n = diag.size
+def _tridiagonal_lu(diag, lower, upper):
+    """M = LU without pivoting, as the factors of _tridiagonal_solve: the
+    doubling coefficients of Ly = b, 1/u and those of Ux = y from the last
+    row up.  L is unit lower bidiagonal with multipliers m_j, U upper
+    bidiagonal with pivots u_j and upper band c_j, so the two solves are
+    y_j = b_j - m_j y_(j-1) and x_j = y_j / u_j - (c_j / u_j) x_(j+1)."""
     tiny = np.finfo(float).eps * float(np.max(np.abs(diag)))
     pivots = [complex(diag[0])]
     multipliers = [0j]
@@ -269,48 +267,39 @@ def _tridiagonal_lu(lower, diag, upper):
     if abs(pivots[-1]) <= tiny:
         raise EigenSolverError(
             "pivot %d of the shifted factorization vanished" % len(pivots))
-    size = SOLVE_BLOCK
-    blocks = -(-n // size)
-    pad = blocks * size - n
-    l = np.concatenate((multipliers, np.zeros(pad))).reshape(blocks, size)
-    u = np.concatenate((pivots, np.ones(pad))).reshape(blocks, size)
-    c = np.concatenate((upper, np.zeros(pad + 1))).reshape(blocks, size)
-    lower_inv = np.zeros((blocks, size, size), dtype=complex)
-    lower_inv[:, 0, 0] = 1.0
-    for i in range(1, size):
-        lower_inv[:, i, :i] = -l[:, i, None] * lower_inv[:, i - 1, :i]
-        lower_inv[:, i, i] = 1.0
-    upper_inv = np.zeros((blocks, size, size), dtype=complex)
-    upper_inv[:, -1, -1] = 1.0 / u[:, -1]
-    for i in range(size - 2, -1, -1):
-        upper_inv[:, i, i + 1:] = -c[:, i, None] * upper_inv[:, i + 1, i + 1:] / u[:, i, None]
-        upper_inv[:, i, i] = 1.0 / u[:, i]
-    return n, lower_inv, upper_inv, -l[:, 0], -c[:, -1]
+    inverse = 1.0 / np.array(pivots)
+    backward = np.concatenate(([0j], (-upper * inverse[:-1])[::-1]))
+    return _doubling(-np.array(multipliers)), inverse, _doubling(backward)
 
 
-def _carry(coupling, ends, gain):
-    """t_0 = 0, t_k = coupling_k (ends_(k-1) + t_(k-1) gain_(k-1)): the
-    multiple of a block's edge column that the block before it adds."""
-    out = [0j]
-    for c, e, g in zip(coupling[1:].tolist(), ends[:-1].tolist(), gain[:-1].tolist()):
-        out.append(c * (e + out[-1] * g))
-    return np.array(out)
+def _doubling(coef):
+    """Recursive doubling (Stone, J. ACM 20, 1973) for x_j = f_j + coef_j x_(j-1),
+    coef_0 unread: step k = 1, 2, 4, ... adds coef_j x_(j-k) to each x_j with
+    j >= k, and the next step's coef_j is coef_j coef_(j-k).  A long span's
+    product can overflow where x does not; it is refused like a vanishing pivot."""
+    steps, k = [], 1
+    while k < coef.size:
+        steps.append(coef[k:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef = np.concatenate((coef[:k], coef[k:] * coef[:-k]))
+        k *= 2
+    if not all(np.all(np.isfinite(step)) for step in steps):
+        raise EigenSolverError("the doubling coefficients of the shifted factorization overflow")
+    return steps
+
+
+def _scan(steps, f):
+    """x with x_j = f_j + coef_j x_(j-1), from the steps of _doubling."""
+    x = np.array(f, dtype=complex)
+    for s, coef in enumerate(steps):
+        x[1 << s:] += coef * x[:-(1 << s)]
+    return x
 
 
 def _tridiagonal_solve(factors, rhs):
-    """x with LU x = rhs: each block solved on its own by one batched
-    product, then corrected through the entry that couples it to its
-    neighbour, forward through L and backward through U."""
-    n, lower_inv, upper_inv, lower_coupling, upper_coupling = factors
-    blocks, size, _ = lower_inv.shape
-    padded = np.zeros((blocks, size, 1), dtype=complex)
-    padded.reshape(-1)[:n] = rhs
-    local = np.matmul(lower_inv, padded)[:, :, 0]
-    carry = _carry(lower_coupling, local[:, -1], lower_inv[:, -1, 0])
-    forward = local + carry[:, None] * lower_inv[:, :, 0]
-    local = np.matmul(upper_inv, forward[:, :, None])[:, :, 0]
-    carry = _carry(upper_coupling[::-1], local[::-1, 0], upper_inv[::-1, 0, -1])[::-1]
-    return (local + carry[:, None] * upper_inv[:, :, -1]).reshape(-1)[:n]
+    """x with LU x = rhs: the scan of L, then that of U on reversed rows."""
+    forward, inverse, backward = factors
+    return _scan(backward, (_scan(forward, rhs) * inverse)[::-1])[::-1]
 
 
 def _shift_invert_ritz(factors, n, sigma):

@@ -210,21 +210,30 @@ class DerivedModel:
         return w.copy() if isinstance(w, np.ndarray) else w
 
     def Q(self, x):
-        i, w, wp = (self._sample(name, x) for name in ("I", "W", "Wp"))
-        # relative to W and W', so a tail where I, W and W' decay together
-        # is not a zero, while a double zero of I (W = 0, W' != 0) still is
-        scale = np.maximum(np.abs(w), np.abs(wp))
-        bad = np.abs(i) <= ANTIDERIVATIVE_ZERO_TOL * scale
+        bad = _antiderivative_zero(self, x)
         if np.any(bad):
             raise GZeroError(
                 "antiderivative of W vanishes at x = %g; V and Q diverge there"
                 % _first_offender(x, bad)
             )
+        i, w, wp = (self._sample(name, x) for name in ("I", "W", "Wp"))
         half = w / (2.0 * i)
-        return wp / (2.0 * i) - half**2 + self.spec.alpha / i**2
+        q = wp / (2.0 * i) - half**2
+        # without alpha the term is absent, not 0 / I^2, which is NaN where
+        # I^2 underflows (constant W0 = 1e-300)
+        return q + self.spec.alpha / i**2 if self.spec.alpha else q
 
     def V(self, x):
         return self.Q(x) - self.G(x) ** 2 + self.spec.beta
+
+
+def _antiderivative_zero(model, x):
+    """Where I = int W counts as zero at x, so that Q and V diverge:
+    |I| <= ANTIDERIVATIVE_ZERO_TOL max(|W|, |W'|).  Relative to W and W', so
+    a tail where I, W and W' decay together is not a zero, while a double
+    zero of I (W = 0, W' != 0) still is."""
+    i, w, wp = (model._sample(name, x) for name in ("I", "W", "Wp"))
+    return np.abs(i) <= ANTIDERIVATIVE_ZERO_TOL * np.maximum(np.abs(w), np.abs(wp))
 
 
 def derive(spec):

@@ -162,6 +162,21 @@ def test_derive_constant_w(capsys):
     assert "V" not in report["columns"]
 
 
+@pytest.mark.parametrize("w0", ["1e-300", "1e-9"])
+def test_derive_constant_w_drops_only_the_pole_at_any_scale(capsys, w0):
+    # the pole test is relative to W, as in Q: only x = 0, where I = W0 x
+    # vanishes, is dropped however small W0 is
+    argv = ("derive", "--model", "constant_w", "--param", "C0=0")
+    _, unit = run_json(capsys, *argv, "--param", "W0=2")
+    code, small = run_json(capsys, *argv, "--param", "W0=" + w0)
+    assert code == 0
+    assert len(unit["columns"]["x"]) == 200
+    assert small["columns"]["x"] == unit["columns"]["x"]
+    # V = -(W / 2I)^2 - (I / 2)^2 with I = W0 x, so -1/(4 x^2) when W0 is tiny
+    x = np.asarray(small["columns"]["x"])
+    np.testing.assert_allclose(small["columns"]["re_Veff"], -0.25 / x**2, rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # verify
 
