@@ -9,8 +9,11 @@ ready-made models).
 
 A run takes one path: argparse fills a RunConfig (each option's dest is a
 field, and a subcommand takes only the options it reads), _resolve builds
-the spec and grid the same way for catalog and inline models, and _emit
-writes the report as JSON or, from a column table, as CSV.
+the spec and grid the same way for catalog and inline models, the cmd_*
+function returns (report, table, passed), and main makes the one _emit
+call, which writes the report as JSON or, from its column table, as CSV,
+and turns passed into the exit code.  A report without a table (a catalog
+entry or listing, a sweep over several values) has no CSV form.
 
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 bad
 specification or arguments, 3 evaluation-domain error, 4 eigensolver
@@ -108,8 +111,15 @@ def _tolerance(text):
 
 def _config_from_args(args):
     """RunConfig from the parsed options; a field whose option is not given
-    keeps its default."""
+    keeps its default.  A verify of CSV matrices and a catalog listing read
+    only the output options, so they refuse any model, grid or tolerance."""
     given = {name: value for name, value in vars(args).items() if value is not None}
+    bare = any(map(given.get, ("H_csv", "eta_csv"))) or args.command == "catalog" and not args.name
+    unread = sorted(given.keys() - {"command", "H_csv", "eta_csv", "name", "fmt", "out"})
+    if bare and unread:
+        options = ", ".join("--" + {"params": "param"}.get(n, n).replace("_", "-") for n in unread)
+        run = "a verify of --H-csv/--eta-csv" if args.command == "verify" else "a catalog listing"
+        raise SpecError("%s reads no %s" % (run, options))
     given["params"] = _parse_params(given.get("params"))
     return RunConfig(**given)
 
@@ -147,19 +157,20 @@ def _resolve(cfg):
     return entry, spec, grid
 
 
+def _grid_dict(grid):
+    return {"a": grid.a, "b": grid.b, "N": grid.n}
+
+
 def _config_dict(cfg, spec=None, grid=None):
     data = dataclasses.asdict(cfg)
     if spec is not None:
         data["resolved_spec"] = spec_to_config(spec)
     if grid is not None:
-        data["resolved_grid"] = {"a": grid.a, "b": grid.b, "N": grid.n}
+        data["resolved_grid"] = _grid_dict(grid)
     return data
 
 
-def _check_csv(cfg, available):
-    """Refuse --format csv for a report that has no CSV form."""
-    if cfg.fmt == "csv" and not available:
-        raise SpecError("--format csv is not available for this report")
+_NO_CSV = "--format csv is not available for this report"
 
 
 def _cell(value):
@@ -168,13 +179,14 @@ def _cell(value):
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def _emit(cfg, report, table=None):
+def _emit(cfg, report, table):
     """Write the report as JSON, or as CSV from its column table (name ->
     list): a header row, then one row per entry with floats through repr,
-    bools as 0/1 and strings as they are.  A report without a table has no
-    CSV form.  A report that holds NaN or Infinity is refused in either
+    bools as 0/1 and strings as they are.  A report whose table is None has
+    no CSV form.  A report that holds NaN or Infinity is refused in either
     format, as an evaluation error."""
-    _check_csv(cfg, table is not None)
+    if cfg.fmt == "csv" and table is None:
+        raise SpecError(_NO_CSV)
     try:
         text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
@@ -194,100 +206,71 @@ def _emit(cfg, report, table=None):
 
 
 def cmd_derive(cfg):
+    """The pipeline functions at interior points; a model without bound
+    states samples V_eff alone, on the closed interval less the zeros of I."""
     entry, spec, grid = _resolve(cfg)
-    if entry is not None and not entry.solvable:
-        return _derive_constant(cfg, entry, spec, grid)
+    solvable = entry is None or entry.solvable
     model = derive(spec)
-    xs = np.linspace(grid.a + grid.h, grid.b - grid.h, DERIVE_SAMPLES)
+    if solvable:
+        xs = np.linspace(grid.a + grid.h, grid.b - grid.h, DERIVE_SAMPLES)
+    else:
+        xs = np.linspace(grid.a, grid.b, DERIVE_SAMPLES)
+        xs = xs[~_antiderivative_zero(model, xs)]
     veff = effective_potential(model, xs)
-    table = {
-        "x": xs,
-        "G": model.G(xs),
-        "Q": model.Q(xs),
-        "V": model.V(xs),
-        "W": model.W(xs),
-        "re_Veff": veff.real,
-        "im_Veff": veff.imag,
-    }
+    table = {"x": xs}
+    if solvable:
+        table.update(G=model.G(xs), Q=model.Q(xs), V=model.V(xs), W=model.W(xs))
+    table.update(re_Veff=veff.real, im_Veff=veff.imag)
     report = {
         "config": _config_dict(cfg, spec, grid),
         "columns": {k: [float(v) for v in col] for k, col in table.items()},
     }
-    if entry is not None and entry.analytic_V is not None:
+    if not solvable:
+        report["notes"] = entry.notes
+    elif entry is not None and entry.analytic_V is not None:
         reference = evaluate(entry.analytic_V, xs, spec.env)
-        residual = float(
-            np.max(np.abs(table["V"] - reference) / np.maximum(1.0, np.abs(reference)))
+        scale = np.maximum(1.0, np.abs(reference))
+        report["analytic_V_residual"] = float(np.max(np.abs(table["V"] - reference) / scale))
+    return report, report["columns"], True
+
+
+def cmd_verify(cfg):
+    """Residuals of an (H, eta) pair from two CSV files or from the model;
+    only a model run is held to --tol-intertwine."""
+    external = cfg.H_csv or cfg.eta_csv
+    spec = grid = None
+    if external:
+        if not (cfg.H_csv and cfg.eta_csv):
+            raise SpecError("external verification needs both --H-csv and --eta-csv")
+        hamiltonian, eta = map(operators.matrix_from_csv, (cfg.H_csv, cfg.eta_csv))
+    else:
+        entry, spec, grid = _resolve(cfg)
+        model = derive(spec)
+        hamiltonian, eta = (
+            operators.build_hamiltonian(model, grid), operators.build_eta(model, grid)
         )
-        report["analytic_V_residual"] = residual
-    _emit(cfg, report, report["columns"])
-    return EXIT_OK
-
-
-def _derive_constant(cfg, entry, spec, grid):
-    model = derive(spec)
-    xs = np.linspace(grid.a, grid.b, DERIVE_SAMPLES)
-    xs = xs[~_antiderivative_zero(model, xs)]
-    veff = effective_potential(model, xs)
-    report = {
-        "config": _config_dict(cfg, spec, grid),
-        "columns": {
-            "x": [float(v) for v in xs],
-            "re_Veff": [float(v) for v in veff.real],
-            "im_Veff": [float(v) for v in veff.imag],
-        },
-        "notes": entry.notes,
-    }
-    _emit(cfg, report, report["columns"])
-    return EXIT_OK
-
-
-def _residuals(hamiltonian, eta):
-    """The three residuals verify reports for one (H, eta) pair."""
-    return {
+    residuals = {
         "intertwining": operators.intertwining_residual(hamiltonian, eta),
         "eta_hermiticity": operators.hermiticity_residual(eta),
         "etaH_hermiticity": operators.hermiticity_residual(
             operators.compose(eta, hamiltonian, "etaH")
         ),
     }
-
-
-def cmd_verify(cfg):
-    if cfg.H_csv or cfg.eta_csv:
-        return _verify_external(cfg)
-    entry, spec, grid = _resolve(cfg)
-    model = derive(spec)
-    residuals = _residuals(
-        operators.build_hamiltonian(model, grid), operators.build_eta(model, grid)
-    )
+    report = {"config": _config_dict(cfg, spec, grid), "residuals": residuals}
+    table = {"check": list(residuals), "residual": list(residuals.values())}
+    if external:
+        return report, table, True
     passed = all(value <= cfg.tol_intertwine for value in residuals.values())
-    report = {
-        "config": _config_dict(cfg, spec, grid),
-        "residuals": residuals,
-        "tolerance": cfg.tol_intertwine,
-        "status": "PASS" if passed else "FAIL",
-    }
-    table = {
-        "check": [*residuals, "status"],
-        "residual": [*residuals.values(), report["status"]],
-    }
-    _emit(cfg, report, table)
-    return EXIT_OK if passed else EXIT_FAIL
-
-
-def _verify_external(cfg):
-    if not (cfg.H_csv and cfg.eta_csv):
-        raise SpecError("external verification needs both --H-csv and --eta-csv")
-    residuals = _residuals(
-        operators.matrix_from_csv(cfg.H_csv), operators.matrix_from_csv(cfg.eta_csv)
-    )
-    report = {"config": _config_dict(cfg), "residuals": residuals}
-    _emit(cfg, report, {"check": list(residuals), "residual": list(residuals.values())})
-    return EXIT_OK
+    report["tolerance"] = cfg.tol_intertwine
+    report["status"] = "PASS" if passed else "FAIL"
+    table["check"].append("status")
+    table["residual"].append(report["status"])
+    return report, table, passed
 
 
 def _sweep_runs(cfg):
-    """(config, sweep value) per run: cfg alone, or one per --sweep value."""
+    """(config, sweep value) per run: cfg alone, or one per --sweep value.
+    A sweep over several values has no CSV form: refused before any solve."""
     if not cfg.sweep:
         return [(cfg, None)]
     name, sep, values = cfg.sweep.partition("=")
@@ -299,18 +282,19 @@ def _sweep_runs(cfg):
         raise SpecError("non-numeric sweep value in '%s'" % cfg.sweep)
     if not all(map(math.isfinite, values)):
         raise SpecError("--sweep values must be finite, got '%s'" % cfg.sweep)
+    if cfg.fmt == "csv" and len(values) > 1:
+        raise SpecError(_NO_CSV)
     return [
         (dataclasses.replace(cfg, params={**cfg.params, name: v}, sweep=None), {name: v})
         for v in values
     ]
 
 
-def _spectrum_once(cfg):
+def _spectrum_once(cfg, sweep_value):
     entry, spec, grid = _resolve(cfg)
     if entry is not None and not entry.solvable:
         raise SpecError(
-            "model '%s' supports no bound states; spectrum is not defined"
-            % entry.name
+            "model '%s' supports no bound states; spectrum is not defined" % entry.name
         )
     model = derive(spec)
     hamiltonian = operators.build_hamiltonian(model, grid)
@@ -321,79 +305,57 @@ def _spectrum_once(cfg):
     subject = filtered if filtered is not None else report
     matches = ()
     if entry is not None and entry.analytic_levels:
-        matches = tuple(
-            eigen.match_levels(subject, entry.analytic_levels, cfg.tol_level)
-        )
+        matches = tuple(eigen.match_levels(subject, entry.analytic_levels, cfg.tol_level))
     data = {
         "config": _config_dict(cfg, spec, grid),
         "spectrum": eigen.report_to_dict(dataclasses.replace(report, matches=matches)),
     }
     if filtered is not None:
-        data["bound_states"] = eigen.report_to_dict(
-            dataclasses.replace(filtered, matches=matches)
-        )
+        bound = dataclasses.replace(filtered, matches=matches)
+        data["bound_states"] = eigen.report_to_dict(bound)
         data["continuum_threshold"] = entry.continuum_threshold
     if matches:
         data["all_levels_matched"] = all(m.matched for m in matches)
+    if sweep_value is not None:
+        data["sweep_value"] = sweep_value
     return data
 
 
 def cmd_spectrum(cfg):
-    runs = _sweep_runs(cfg)
-    _check_csv(cfg, len(runs) == 1)
-    reports = []
-    for run_cfg, sweep_value in runs:
-        data = _spectrum_once(run_cfg)
-        if sweep_value is not None:
-            data["sweep_value"] = sweep_value
-        reports.append(data)
-    if len(reports) == 1:
-        (report,) = reports
-        listed = report.get("bound_states", report["spectrum"])
-        table = {
-            "re": [re for re, _ in listed["eigenvalues"]],
-            "im": [im for _, im in listed["eigenvalues"]],
-            "residual": listed["residuals"],
-            "real_flag": listed["reality_flags"],
-        }
-        _emit(cfg, report, table)
-    else:
-        _emit(cfg, reports)
+    reports = [_spectrum_once(*run) for run in _sweep_runs(cfg)]
     passed = all(data.get("all_levels_matched", True) for data in reports)
-    return EXIT_OK if passed else EXIT_FAIL
+    if len(reports) > 1:
+        return reports, None, passed
+    (report,) = reports
+    listed = report.get("bound_states", report["spectrum"])
+    table = {
+        "re": [re for re, _ in listed["eigenvalues"]],
+        "im": [im for _, im in listed["eigenvalues"]],
+        "residual": listed["residuals"],
+        "real_flag": listed["reality_flags"],
+    }
+    return report, table, passed
 
 
 def cmd_catalog(cfg):
-    if cfg.name:
-        entry = catalog.get(cfg.name, cfg.params)
-        report = {
-            "name": entry.name,
-            "spec": spec_to_config(entry.spec),
-            "analytic_V": None
-            if entry.analytic_V is None
-            else to_source(entry.analytic_V),
-            "analytic_levels": [float(v) for v in entry.analytic_levels],
-            "recommended_grid": {
-                "a": entry.grid.a,
-                "b": entry.grid.b,
-                "N": entry.grid.n,
-            },
-            "eigenfunctions": sorted(entry.eigenfunctions),
-            "solvable": entry.solvable,
-            "notes": entry.notes,
-        }
-        if entry.scarf_s_t is not None:
-            report["s_t"] = list(entry.scarf_s_t)
-        _emit(cfg, report)
-    else:
-        _emit(
-            cfg,
-            [
-                {"name": name, "required_params": list(required)}
-                for name, (required, *_) in catalog.MODELS.items()
-            ],
-        )
-    return EXIT_OK
+    if not cfg.name:
+        rows = catalog.MODELS.items()
+        listing = [{"name": name, "required_params": list(req)} for name, (req, *_) in rows]
+        return listing, None, True
+    entry = catalog.get(cfg.name, cfg.params)
+    report = {
+        "name": entry.name,
+        "spec": spec_to_config(entry.spec),
+        "analytic_V": None if entry.analytic_V is None else to_source(entry.analytic_V),
+        "analytic_levels": [float(v) for v in entry.analytic_levels],
+        "recommended_grid": _grid_dict(entry.grid),
+        "eigenfunctions": sorted(entry.eigenfunctions),
+        "solvable": entry.solvable,
+        "notes": entry.notes,
+    }
+    if entry.scarf_s_t is not None:
+        report["s_t"] = list(entry.scarf_s_t)
+    return report, None, True
 
 
 def _add_output(parser):
@@ -468,7 +430,9 @@ def main(argv=None):
         # exit code and a message, so numpy's overflow warnings would only
         # print ahead of it
         with np.errstate(all="ignore"):
-            return COMMANDS[args.command](cfg)
+            report, table, passed = COMMANDS[args.command](cfg)
+            _emit(cfg, report, table)
+        return EXIT_OK if passed else EXIT_FAIL
     except (SpecError, ExprSyntaxError, GridMismatchError) as exc:
         print("specification error: %s" % exc, file=sys.stderr)
         return EXIT_SPEC

@@ -392,6 +392,11 @@ def differentiate(expr):
         numer = _sub(_mul(dl, expr.right), _mul(expr.left, dr))
         return _div(numer, _pow(expr.right, 2))
     if isinstance(expr, Pow):
+        if abs(expr.exponent - 1) >= 2**53:  # parse would refuse the printed result
+            raise EvaluationError(
+                "the derivative of a power with exponent %d has exponent %d,"
+                " not below 2^53 in magnitude" % (expr.exponent, expr.exponent - 1)
+            )
         db = differentiate(expr.base)
         return _mul(_mul(Const(float(expr.exponent)), _pow(expr.base, expr.exponent - 1)), db)
     raise TypeError("not an expression node: %r" % (expr,))
@@ -411,9 +416,11 @@ def _render(expr, parent_prec):
         value = expr.value
         if np.isinf(value):
             text = "-1e999" if value < 0 else "1e999"  # parses back to +-inf
+        elif value == 0 and np.signbit(value):
+            text = "-0"  # parses back to -0.0, through Neg
         else:
             text = repr(int(value)) if value == int(value) else repr(value)
-        if value < 0 and parent_prec >= 2:  # as Neg prints
+        if np.signbit(value) and parent_prec >= 2:  # as Neg prints
             return "(%s)" % text
         return text
     if isinstance(expr, Var):

@@ -198,7 +198,8 @@ def _check_grids(left, right):
 
 
 def intertwining_residual(hamiltonian, eta):
-    """|| eta H - H^dag eta ||_F normalized by ||eta||_F ||H||_F."""
+    """|| eta H - H^dag eta ||_F normalized by ||eta||_F ||H||_F (0 when
+    either is the zero matrix, since the defect is then 0 too)."""
     hamiltonian, eta = _operator(hamiltonian), _operator(eta)
     _check_grids(hamiltonian, eta)
     defect = _difference(
@@ -206,6 +207,8 @@ def intertwining_residual(hamiltonian, eta):
         _product(_adjoint(hamiltonian.bands), eta.bands),
     )
     scale = _frobenius(eta.bands) * _frobenius(hamiltonian.bands)
+    if scale == 0.0:
+        return 0.0
     return float(_frobenius(defect) / scale)
 
 

@@ -177,6 +177,25 @@ def test_derive_constant_w_drops_only_the_pole_at_any_scale(capsys, w0):
     np.testing.assert_allclose(small["columns"]["re_Veff"], -0.25 / x**2, rtol=1e-12)
 
 
+def test_derive_constant_w_csv_lists_veff_only(capsys):
+    code, out, err = run(
+        capsys,
+        "derive", "--model", "constant_w", "--param", "W0=2", "--param", "C0=0",
+        "--format", "csv",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "x,re_Veff,im_Veff"
+    assert len(lines) == 1 + 200  # the pole at x = 0 is dropped
+
+
+def test_derive_refuses_a_derivative_exponent_that_parse_refuses(capsys):
+    code, out, err = run(capsys, "derive", "--W=x^-9007199254740991", "--a", "0.5", "--b", "2")
+    assert code == 3
+    assert out == ""
+    assert "exponent -9007199254740992" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -343,6 +362,48 @@ def test_verify_csv_lists_residuals_and_status(capsys, tmp_path):
     assert code == 0
     rows = ["%s,%r" % item for item in report["residuals"].items()]
     assert out.splitlines() == ["check,residual", *rows]
+
+
+def _csv_pair(tmp_path):
+    """verify's options for H and eta of scarf2 A=2 on a coarse grid, each
+    written as a CSV matrix."""
+    model = derive(get("scarf2", {"A": 2.0}).spec)
+    grid = Grid(-10.0, 10.0, 40)
+    with pytest.warns(UserWarning):  # deliberately coarse grid
+        matrix_to_csv(build_hamiltonian(model, grid), tmp_path / "H.csv")
+    matrix_to_csv(build_eta(model, grid), tmp_path / "eta.csv")
+    return ("--H-csv", str(tmp_path / "H.csv"), "--eta-csv", str(tmp_path / "eta.csv"))
+
+
+@pytest.mark.parametrize(
+    "options,named",
+    [
+        (("--model", "scarf2"), "--model"),
+        (("--W", "x"), "--W"),
+        (("--param", "A=4"), "--param"),
+        (("--alpha", "1", "--beta", "2"), "--alpha, --beta"),
+        (("--a", "-1", "--b", "1", "--N", "7"), "--N, --a, --b"),
+        (("--tol-intertwine", "1"), "--tol-intertwine"),
+    ],
+    ids=["model", "W", "param", "alpha_beta", "grid", "tol_intertwine"],
+)
+def test_verify_of_csv_matrices_refuses_model_options(capsys, tmp_path, options, named):
+    # such an option was ignored, yet written into the report's config
+    code, out, err = run(capsys, "verify", *_csv_pair(tmp_path), *options)
+    assert code == 2
+    assert out == ""
+    assert err == "specification error: a verify of --H-csv/--eta-csv reads no %s\n" % named
+
+
+def test_verify_zero_metric_reads_zero(capsys, tmp_path):
+    # eta = 0 meets eta H = H^dag eta exactly: the defect is 0, not 0/0
+    options = _csv_pair(tmp_path)
+    matrix_to_csv(np.zeros((40, 40)), tmp_path / "eta.csv")
+    code, report = run_json(capsys, "verify", *options)
+    assert code == 0
+    assert report["residuals"] == {
+        "intertwining": 0.0, "eta_hermiticity": 0.0, "etaH_hermiticity": 0.0,
+    }
 
 
 def test_verify_external_needs_both_files(capsys, tmp_path):
@@ -521,6 +582,18 @@ def test_spectrum_csv_lists_eigenvalues(capsys):
     assert all(len(line.split(",")) == 4 for line in lines[1:])
 
 
+def test_spectrum_one_value_sweep_is_one_run(capsys):
+    # one object with its sweep value, and a CSV form like a plain run's
+    argv = ("spectrum", "--model", "scarf2", "--N", "300")
+    code, report = run_json(capsys, *argv, "--sweep", "A=4")
+    assert code == 0
+    assert report["sweep_value"] == {"A": 4.0}
+    code, out, err = run(capsys, *argv, "--sweep", "A=4", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[0] == "re,im,residual,real_flag"
+    assert out == run(capsys, *argv, "--param", "A=4", "--format", "csv")[1]
+
+
 def test_spectrum_rejects_constant_w(capsys):
     code, out, err = run(
         capsys, "spectrum", "--model", "constant_w", "--param", "W0=2", "--param", "C0=0"
@@ -551,6 +624,20 @@ def test_catalog_show_scarf(capsys):
     assert report["s_t"] == [1.0, 3.0]
     assert report["recommended_grid"] == {"a": -12.0, "b": 12.0, "N": 2000}
     assert "cosh" in report["spec"]["W"]
+
+
+def test_catalog_listing_refuses_a_parameter(capsys):
+    code, out, err = run(capsys, "catalog", "--param", "A=4")
+    assert code == 2
+    assert out == ""
+    assert err == "specification error: a catalog listing reads no --param\n"
+
+
+def test_catalog_entry_refuses_csv(capsys):
+    code, out, err = run(capsys, "catalog", "scarf2", "--param", "A=4", "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert "--format csv is not available" in err
 
 
 def test_catalog_show_unknown(capsys):
@@ -719,6 +806,35 @@ def test_domain_error_prints_no_numpy_warning(capsys, argv):
         code, out, err = run(capsys, *argv)
     assert code == 3
     assert err.startswith("evaluation error: non-finite value")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("derive", "--model", "periodic", "--N", "49"),
+        ("derive", "--model", "periodic", "--N", "49", "--format", "csv"),
+        ("verify", "--model", "scarf2", "--param", "A=2", "--N", "200"),
+        ("verify", "--model", "scarf2", "--param", "A=2", "--N", "200", "--format", "csv"),
+        ("verify", "CSV_PAIR"),
+        ("verify", "CSV_PAIR", "--format", "csv"),
+        ("spectrum", "--model", "scarf2", "--param", "A=4", "--N", "300"),
+        ("spectrum", "--model", "scarf2", "--param", "A=4", "--N", "300", "--format", "csv"),
+        ("spectrum", "--model", "scarf2", "--sweep", "A=2,4", "--N", "250"),
+        ("catalog",),
+        ("catalog", "scarf2", "--param", "A=4"),
+    ],
+    ids=" ".join,
+)
+def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, argv):
+    if "CSV_PAIR" in argv:
+        argv = ("verify", *_csv_pair(tmp_path), *argv[2:])
+    code, out, err = run(capsys, *argv)
+    target = tmp_path / "report.txt"
+    assert main([*argv, "--out", str(target)]) == code
+    assert capsys.readouterr().out == ""
+    # a report's config records the path it was written to
+    recorded = '"out": %s' % json.dumps(str(target))
+    assert target.read_text().replace(recorded, '"out": null') == out
 
 
 def test_unwritable_out_path_is_a_spec_error(capsys, tmp_path):

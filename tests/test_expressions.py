@@ -127,8 +127,7 @@ def expression_trees():
     leaves = st.one_of(
         st.just(Var()),
         st.sampled_from(["A", "xi"]).map(Param),
-        # + 0.0 turns -0.0 into 0.0: the printer writes both as 0
-        st.floats(-1e3, 1e3, allow_nan=False).map(lambda v: Const(v + 0.0)),
+        st.floats(-1e3, 1e3, allow_nan=False).map(Const),
     )
     return st.recursive(
         leaves,
@@ -155,12 +154,23 @@ def _outcome(tree, xs, env):
 def test_printed_source_is_a_fixed_point_of_parse(tree):
     """Printing is stable after one round through parse, and the reparsed
     tree evaluates bit for bit like the original, or fails with the same
-    message at the same x."""
-    source = to_source(tree)
-    reparsed = parse(source)
-    assert to_source(reparsed) == source
+    message at the same x; the same holds for the tree's derivative."""
     xs, env = np.linspace(-2.0, 2.0, 9), {"A": 1.5, "xi": -0.7}
-    assert _outcome(reparsed, xs, env) == _outcome(tree, xs, env)
+    for candidate in (tree, differentiate(tree)):
+        source = to_source(candidate)
+        reparsed = parse(source)
+        assert to_source(reparsed) == source
+        assert _outcome(reparsed, xs, env) == _outcome(candidate, xs, env)
+
+
+def test_derivative_exponent_stays_parseable():
+    # parse takes exponents below 2^53 in magnitude, so the derivative of
+    # x^-(2^53 - 1) would print an exponent that parse refuses
+    with pytest.raises(EvaluationError, match="exponent -9007199254740992"):
+        differentiate(parse("x^-9007199254740991"))
+    for source in ("x^9007199254740991", "x^-9007199254740990"):
+        printed = to_source(differentiate(parse(source)))
+        assert to_source(parse(printed)) == printed
 
 
 def test_syntax_error_carries_column():

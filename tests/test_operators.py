@@ -189,6 +189,15 @@ def test_zero_matrix_hermiticity_residual():
     assert hermiticity_residual(np.zeros((4, 4), dtype=complex)) == 0.0
 
 
+def test_zero_metric_intertwining_residual():
+    # eta H - H^dag eta vanishes with eta, so the defect is 0, not 0/0
+    rng = np.random.default_rng(5)
+    h_matrix = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    zero = np.zeros((6, 6))
+    assert intertwining_residual(h_matrix, zero) == 0.0
+    assert intertwining_residual(zero, h_matrix) == 0.0
+
+
 def test_grid_mismatch_is_rejected():
     model = catalog_model("scarf2", A=2.0)
     h_op = build_hamiltonian(model, Grid(-10.0, 10.0, 200))
