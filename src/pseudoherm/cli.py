@@ -17,7 +17,7 @@ entry or listing, a sweep over several values) has no CSV form.
 
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 bad
 specification or arguments, 3 evaluation-domain error, 4 eigensolver
-failure.  Every report embeds the resolved configuration that produced it.
+failure.  Each derive, verify and spectrum report embeds the options its run read.
 """
 
 import argparse
@@ -109,19 +109,24 @@ def _tolerance(text):
     return value
 
 
+def _read_options(cfg):
+    """The fields a run reads, in its subcommand parser's order: all of them,
+    or only input and output for a verify of CSV matrices or a catalog listing."""
+    bare = cfg.H_csv or cfg.eta_csv or cfg.command == "catalog" and not cfg.name
+    return [name for name in OPTIONS[cfg.command]
+            if not bare or name in ("command", "H_csv", "eta_csv", "name", "fmt", "out")]
+
+
 def _config_from_args(args):
-    """RunConfig from the parsed options; a field whose option is not given
-    keeps its default.  A verify of CSV matrices and a catalog listing read
-    only the output options, so they refuse any model, grid or tolerance."""
+    """RunConfig from the parsed options, refusing a given one the run does not read."""
     given = {name: value for name, value in vars(args).items() if value is not None}
-    bare = any(map(given.get, ("H_csv", "eta_csv"))) or args.command == "catalog" and not args.name
-    unread = sorted(given.keys() - {"command", "H_csv", "eta_csv", "name", "fmt", "out"})
-    if bare and unread:
+    cfg = RunConfig(**given)
+    unread = sorted(given.keys() - set(_read_options(cfg)))
+    if unread:
         options = ", ".join("--" + {"params": "param"}.get(n, n).replace("_", "-") for n in unread)
         run = "a verify of --H-csv/--eta-csv" if args.command == "verify" else "a catalog listing"
         raise SpecError("%s reads no %s" % (run, options))
-    given["params"] = _parse_params(given.get("params"))
-    return RunConfig(**given)
+    return dataclasses.replace(cfg, params=_parse_params(given.get("params")))
 
 
 def _resolve(cfg):
@@ -134,10 +139,8 @@ def _resolve(cfg):
         raise SpecError("exactly one of --model and --W must be given")
     entry = catalog.get(cfg.model, cfg.params) if cfg.model else None
     grid = DEFAULT_GRID if entry is None else entry.grid
-    given = (("a", cfg.a), ("b", cfg.b), ("n", cfg.N))
-    overrides = {name: value for name, value in given if value is not None}
-    if overrides:
-        grid = dataclasses.replace(grid, **overrides)
+    given = {"a": cfg.a, "b": cfg.b, "n": cfg.N}
+    grid = dataclasses.replace(grid, **{k: v for k, v in given.items() if v is not None})
     if entry is None:
         spec = GeneratorSpec(
             W=cfg.W,
@@ -162,11 +165,9 @@ def _grid_dict(grid):
 
 
 def _config_dict(cfg, spec=None, grid=None):
-    data = dataclasses.asdict(cfg)
-    if spec is not None:
-        data["resolved_spec"] = spec_to_config(spec)
-    if grid is not None:
-        data["resolved_grid"] = _grid_dict(grid)
+    data = {name: getattr(cfg, name) for name in _read_options(cfg)}
+    if spec is not None:  # a verify of CSV matrices has neither spec nor grid
+        data.update(resolved_spec=spec_to_config(spec), resolved_grid=_grid_dict(grid))
     return data
 
 
@@ -244,11 +245,10 @@ def cmd_verify(cfg):
             raise SpecError("external verification needs both --H-csv and --eta-csv")
         hamiltonian, eta = map(operators.matrix_from_csv, (cfg.H_csv, cfg.eta_csv))
     else:
-        entry, spec, grid = _resolve(cfg)
+        _, spec, grid = _resolve(cfg)
         model = derive(spec)
-        hamiltonian, eta = (
-            operators.build_hamiltonian(model, grid), operators.build_eta(model, grid)
-        )
+        hamiltonian = operators.build_hamiltonian(model, grid)
+        eta = operators.build_eta(model, grid)
     residuals = {
         "intertwining": operators.intertwining_residual(hamiltonian, eta),
         "eta_hermiticity": operators.hermiticity_residual(eta),
@@ -417,6 +417,8 @@ COMMANDS = {
 
 
 PARSER = build_parser()
+# the fields each subcommand's parser sets, in its option order
+OPTIONS = {command: list(vars(PARSER.parse_args([command]))) for command in COMMANDS}
 
 
 def main(argv=None):

@@ -7,18 +7,17 @@ eig is the one solver entry point, with two paths:
   numpy.linalg ships it.  Plain matrices take this path.
 - eig(op, below=E) returns only the eigenvalues with real part below E of
   a tridiagonal operator, in O(N m) time and memory with no N x N array.
-  H = A + iB with A, B Hermitian, so every eigenvalue lies in the box
-  Re in [min spec A, E], Im in [min spec B, max spec B], bounded through
-  Gershgorin discs of A and B.  The argument principle (Delves & Lyness,
-  Math. Comp. 21, 1967) counts the eigenvalues in that box: det(H - z)
-  comes from the ratio recurrence r_j = d_j - z - l_(j-1) u_(j-1) / r_(j-1)
-  around its edge.  Shift-invert Arnoldi (the design of ARPACK; Lehoucq,
-  Sorensen & Yang, 1998) with the shift at the box centre and full
-  reorthogonalization finds them; (H - sigma)^-1 is applied through an LU
-  factorization whose two triangular solves are recursive doubling scans
-  of ceil(log2 N) vector steps each.  The Krylov dimension doubles until
-  the converged Ritz values in the box number exactly the certified count.
-  A mismatch at the largest dimension raises EigenSolverError.
+  H = A + iB with A, B Hermitian, so Gershgorin discs of A and B bound a
+  box that holds them all.  One recurrence, _ratios, serves both stages:
+  r_j = d_j - z - l_(j-1) u_(j-1) / r_(j-1).  Their product around the box
+  edge is det(H - z), whose winding number counts the eigenvalues inside
+  (argument principle; Delves & Lyness, Math. Comp. 21, 1967).  At the box
+  centre sigma they are the pivots of the LU of H - sigma, through which
+  shift-invert Arnoldi (the design of ARPACK; Lehoucq, Sorensen & Yang,
+  1998) with full reorthogonalization finds them, each solve two recursive
+  doubling scans of ceil(log2 N) vector steps.  The Krylov dimension
+  doubles until the converged Ritz values in the box number exactly the
+  certified count; a mismatch at the largest dimension is EigenSolverError.
 
 Post-processing reports a defective level that discretization split in
 two as one level at its group mean, separates grid-localized bound states
@@ -29,12 +28,13 @@ which sorts it by (re, im) and sets its reality flags.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .generator import effective_potential
-from .operators import _matrix, _operator
+from .operators import DiscreteOperator, _frobenius, _matrix, _operator
 
 TAU_REAL = 1e-5
 # Two eigenvalues at most SPLIT_WINDOW apart whose unit right eigenvectors
@@ -107,7 +107,7 @@ def _report(values, vectors, residuals, group_sizes=None, **fields):
     """The report of eigenpairs (values, columns of vectors), sorted by
     (re, im).  residuals and group_sizes follow the order of values;
     residuals may instead be a function of the sorted values and vectors,
-    since a BLAS product rounds a column differently by its position.
+    since a column's residual rounds differently by its position.
     fields are the remaining SpectrumReport fields."""
     order = np.lexsort((values.imag, values.real))
     values, vectors = values[order], vectors[:, order]
@@ -122,38 +122,34 @@ def _report(values, vectors, residuals, group_sizes=None, **fields):
 
 
 def eig(op, below=None):
-    """Eigenvalues with right eigenvectors and per-eigenvalue residuals: the
-    full spectrum, or with `below` those of a tridiagonal operator whose
-    real part is below it, their number certified by the argument
-    principle."""
-    if below is not None:
-        return _eig_window(_operator(op), float(below))
-    matrix = np.asarray(_matrix(op), dtype=complex)
-    if not np.all(np.isfinite(matrix)):
+    """Eigenvalues with right eigenvectors and residuals: the full spectrum,
+    or with a finite `below` those of a tridiagonal operator with real part
+    below it, their number certified by the argument principle."""
+    if below is not None and not np.isfinite(below):
+        raise ValueError("the window's below must be finite, got %r" % below)
+    bands = _operator(op).bands
+    if not all(np.all(np.isfinite(band)) for band in bands.values()):
         raise EigenSolverError("matrix contains non-finite entries")
+    if below is not None:
+        return _eig_window(bands, float(below))
+    matrix = np.asarray(_matrix(op), dtype=complex)
     try:
         values, vectors = np.linalg.eig(matrix)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError("QR iteration did not converge: %s" % exc) from exc
-    scale = np.linalg.norm(matrix)
-    return _report(values, vectors, lambda values, vectors: np.linalg.norm(
-        matrix @ vectors - vectors * values, axis=0) / (scale * np.linalg.norm(vectors, axis=0)))
+    return _report(values, vectors, functools.partial(_band_residuals, bands))
 
 
-def _eig_window(op, below):
-    if not set(op.bands) <= {-1, 0, 1}:
+def _eig_window(bands, below):
+    if not set(bands) <= {-1, 0, 1}:
         raise ValueError("a window solve needs a tridiagonal operator, got"
-                         " diagonals %s" % sorted(op.bands))
-    n = op.n
-    diag = op.bands[0]
-    lower = op.bands.get(-1, np.zeros(n - 1, dtype=complex))
-    upper = op.bands.get(1, np.zeros(n - 1, dtype=complex))
-    if not all(np.all(np.isfinite(band)) for band in (diag, lower, upper)):
-        raise EigenSolverError("matrix contains non-finite entries")
+                         " diagonals %s" % sorted(bands))
+    diag = bands[0]
+    n = diag.size
+    lower, upper = (bands.get(k, np.zeros(n - 1, dtype=complex)) for k in (-1, 1))
     box = window_box(diag, lower, upper, below)
     count = 0 if box is None else window_count(diag, lower * upper, box)
-    values = np.zeros(0, dtype=complex)
-    vectors = np.zeros((n, 0), dtype=complex)
+    values, vectors = np.zeros(0, dtype=complex), np.zeros((n, 0), dtype=complex)
     if count:
         sigma = complex(0.5 * (box[0] + box[1]), 0.5 * (box[2] + box[3]))
         factors = _tridiagonal_lu(diag - sigma, lower, upper)
@@ -165,10 +161,8 @@ def _eig_window(op, below):
         else:
             raise EigenSolverError(
                 "%d converged Ritz values below %g, but the argument principle"
-                " counts %d eigenvalues there"
-                % (np.count_nonzero(keep), below, count)
-            )
-    return _report(values, vectors, functools.partial(_band_residuals, diag, lower, upper),
+                " counts %d eigenvalues there" % (np.count_nonzero(keep), below, count))
+    return _report(values, vectors, functools.partial(_band_residuals, bands),
                    below=below, certified_count=count)
 
 
@@ -203,14 +197,22 @@ def _inside(box, values):
             & (values.imag > im_lo) & (values.imag < im_hi))
 
 
+def _ratios(diag, couplings, z):
+    """Ratios r_j = det(M_(1..j) - z) / det(M_(1..j-1) - z) of the leading
+    minors, row by row: r_1 = d_1 - z, r_j = (d_j - z) - couplings_(j-1) / r_(j-1)
+    with couplings_j = M[j+1, j] M[j, j+1], at a scalar z or an array of them."""
+    rows = diag.tolist()
+    ratio = rows[0] - z
+    yield ratio
+    for d, c in zip(rows[1:], couplings.tolist()):
+        ratio = (d - z) - c / ratio
+        yield ratio
+
+
 def _det_phase(diag, couplings, z):
-    """det(M - z) / |det(M - z)| at each point z, from the ratio recurrence
-    r_1 = d_1 - z, r_j = d_j - z - couplings_(j-1) / r_(j-1) whose product
-    is the determinant; couplings_j = M[j+1, j] M[j, j+1]."""
-    ratio = diag[0] - z
-    phase = ratio / np.abs(ratio)
-    for j in range(1, diag.size):
-        ratio = (diag[j] - z) - couplings[j - 1] / ratio
+    """det(M - z) / |det(M - z)| at each point z: the product of the _ratios."""
+    phase = np.ones(np.shape(z), dtype=complex)
+    for j, ratio in enumerate(_ratios(diag, couplings, z)):
         phase *= ratio
         if j % 16 == 0:  # keep |phase| far from overflow and underflow
             phase /= np.abs(phase)
@@ -253,23 +255,19 @@ def window_count(diag, couplings, box):
 def _tridiagonal_lu(diag, lower, upper):
     """M = LU without pivoting, as the factors of _tridiagonal_solve: the
     doubling coefficients of Ly = b, 1/u and those of Ux = y from the last
-    row up.  L is unit lower bidiagonal with multipliers m_j, U upper
-    bidiagonal with pivots u_j and upper band c_j, so the two solves are
+    row up.  The pivots u_j are the _ratios of (diag, lower * upper) at 0,
+    L has multipliers m_j = l_(j-1) / u_(j-1) and U the upper band c_j, so
     y_j = b_j - m_j y_(j-1) and x_j = y_j / u_j - (c_j / u_j) x_(j+1)."""
     tiny = np.finfo(float).eps * float(np.max(np.abs(diag)))
-    pivots = [complex(diag[0])]
-    multipliers = [0j]
-    for a, d, c in zip(lower.tolist(), diag[1:].tolist(), upper.tolist()):
-        if abs(pivots[-1]) <= tiny:
-            break
-        multipliers.append(a / pivots[-1])
-        pivots.append(d - multipliers[-1] * c)
-    if abs(pivots[-1]) <= tiny:
+    pivots = np.array(list(itertools.takewhile(
+        lambda u: abs(u) > tiny, _ratios(diag, lower * upper, 0))), dtype=complex)
+    if pivots.size < diag.size:  # stopped before it divided by a vanished pivot
         raise EigenSolverError(
-            "pivot %d of the shifted factorization vanished" % len(pivots))
-    inverse = 1.0 / np.array(pivots)
+            "pivot %d of the shifted factorization vanished" % (pivots.size + 1))
+    inverse = 1.0 / pivots
     backward = np.concatenate(([0j], (-upper * inverse[:-1])[::-1]))
-    return _doubling(-np.array(multipliers)), inverse, _doubling(backward)
+    forward = np.concatenate(([0j], -lower / pivots[:-1]))
+    return _doubling(forward), inverse, _doubling(backward)
 
 
 def _doubling(coef):
@@ -340,14 +338,17 @@ def _shift_invert_ritz(factors, n, sigma):
         hessenberg = np.pad(hessenberg, ((0, m - k), (0, m - k)))
 
 
-def _band_residuals(diag, lower, upper, values, vectors):
+def _band_residuals(bands, values, vectors):
     """||M v - lambda v||_2 / (||M||_F ||v||_2) per column, from the bands."""
-    applied = diag[:, None] * vectors
-    applied[:-1] += upper[:, None] * vectors[1:]
-    applied[1:] += lower[:, None] * vectors[:-1]
+    n = vectors.shape[0]
+    if len(bands) ** 2 > n:  # many diagonals: one dense product, as in operators._product
+        applied = DiscreteOperator(bands).matrix @ vectors
+    else:
+        applied = np.zeros_like(vectors)
+        for k, band in bands.items():
+            applied[max(-k, 0):n - max(k, 0)] += band[:, None] * vectors[max(k, 0):n - max(-k, 0)]
     defect = np.linalg.norm(applied - vectors * values, axis=0)
-    scale = np.linalg.norm(np.concatenate((diag, lower, upper)))
-    return defect / (scale * np.linalg.norm(vectors, axis=0))
+    return defect / (_frobenius(bands) * np.linalg.norm(vectors, axis=0))
 
 
 def merge_split_levels(report):

@@ -395,6 +395,35 @@ def test_verify_of_csv_matrices_refuses_model_options(capsys, tmp_path, options,
     assert err == "specification error: a verify of --H-csv/--eta-csv reads no %s\n" % named
 
 
+MODEL_OPTIONS = ["command", "model", "W", "antideriv", "params", "alpha", "beta", "a", "b", "N",
+                 "fmt", "out"]
+RESOLVED = ["resolved_spec", "resolved_grid"]
+
+
+@pytest.mark.parametrize(
+    "argv,keys",
+    [
+        (("derive", "--model", "periodic", "--N", "49"), MODEL_OPTIONS + RESOLVED),
+        (("verify", "--model", "scarf2", "--param", "A=2", "--N", "200"),
+         MODEL_OPTIONS + ["tol_intertwine", "H_csv", "eta_csv"] + RESOLVED),
+        (("verify", "CSV_PAIR"), ["command", "fmt", "out", "H_csv", "eta_csv"]),
+        (("spectrum", "--model", "scarf2", "--param", "A=4", "--N", "300"),
+         MODEL_OPTIONS + ["tol_level", "sweep"] + RESOLVED),
+        (("spectrum", "--W=-2*exp(-x)", "--a", "0.5", "--b", "14", "--N", "50"),
+         MODEL_OPTIONS + ["tol_level", "sweep"] + RESOLVED),
+    ],
+    ids=["derive", "verify", "verify_csv", "spectrum_catalog", "spectrum_inline"],
+)
+def test_config_holds_the_options_its_run_read(capsys, tmp_path, argv, keys):
+    # a run's config lists its subcommand's options in parser order, not
+    # every RunConfig field: derive has no tolerance, sweep, CSV or entry name
+    if "CSV_PAIR" in argv:
+        argv = ("verify", *_csv_pair(tmp_path))
+    code, report = run_json(capsys, *argv)
+    assert list(report["config"]) == keys
+    assert ("tolerance" in report) == ("tol_intertwine" in keys)
+
+
 def test_verify_zero_metric_reads_zero(capsys, tmp_path):
     # eta = 0 meets eta H = H^dag eta exactly: the defect is 0, not 0/0
     options = _csv_pair(tmp_path)

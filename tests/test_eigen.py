@@ -23,7 +23,7 @@ from pseudoherm.eigen import (
     window_count,
 )
 from pseudoherm.generator import derive
-from pseudoherm.operators import Grid, build_hamiltonian
+from pseudoherm.operators import DiscreteOperator, Grid, build_hamiltonian
 
 TAU_SOLVER = 1e-8
 
@@ -89,6 +89,31 @@ def test_nonfinite_input_is_solver_error():
     matrix[2, 2] = np.nan
     with pytest.raises(EigenSolverError):
         eig(matrix)
+
+
+@pytest.mark.parametrize("matrix", [
+    np.diag([3.0, 1.0, 2.0]).astype(complex),
+    np.triu(np.tril(random_complex(np.random.default_rng(14), 12), 1), -1),
+    random_complex(np.random.default_rng(13), 30),
+], ids=["diagonal", "tridiagonal", "dense"])
+def test_band_residuals_are_those_of_the_dense_product(matrix):
+    # the full spectrum's residuals come from the bands, as a window's do,
+    # band by band or, for a full matrix, as one dense product; shifted
+    # values make them large enough to compare beyond rounding
+    report = eig(matrix)
+    assert np.max(report.residuals) <= TAU_SOLVER
+    vectors, values = report.eigenvectors, report.eigenvalues + 1e-3
+    dense = np.linalg.norm(matrix @ vectors - vectors * values, axis=0) / (
+        np.linalg.norm(matrix) * np.linalg.norm(vectors, axis=0))
+    banded = eigen._band_residuals(DiscreteOperator.from_matrix(matrix).bands, values, vectors)
+    assert_allclose(banded, dense, rtol=1e-10)
+
+
+@pytest.mark.parametrize("below", [math.nan, math.inf, -math.inf])
+def test_non_finite_window_is_refused(below):
+    # -inf is refused too, rather than read as an empty window
+    with pytest.raises(ValueError, match="below must be finite, got %s" % below):
+        eig(np.diag([1.0, 2.0, 3.0]).astype(complex), below=below)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +449,30 @@ def test_window_solve_on_a_general_tridiagonal_matrix():
     )
 
 
+# the argument principle's count of the window box against the dense count of
+# the same box; below = 0
+MISCOUNT_CASES = [
+    pytest.param("morse", {"xi": 1.0}, Grid(-4.0, 30.0, 400), id="morse-xi1-wide-box",
+                 marks=pytest.mark.xfail(strict=True, reason="count aliases: 18, dense 9")),
+    pytest.param("scarf2", {"A": 4001.0}, 300, id="scarf2-A4001-N300",
+                 marks=pytest.mark.xfail(strict=True, reason="count aliases: 174, dense 142")),
+    pytest.param("scarf2", {"A": 3.0}, 300, id="scarf2-A3-N300"),
+]
+
+
+@pytest.mark.filterwarnings("ignore:.*underresolves:UserWarning")
+@pytest.mark.parametrize("name, env, grid", MISCOUNT_CASES)
+def test_window_count_equals_the_dense_count_in_its_box(name, env, grid):
+    entry = get(name, env)
+    if not isinstance(grid, Grid):
+        grid = Grid(entry.grid.a, entry.grid.b, grid)
+    hamiltonian = build_hamiltonian(derive(entry.spec), grid)
+    diag, lower, upper = (hamiltonian.bands[k] for k in (0, -1, 1))
+    box = window_box(diag, lower, upper, 0.0)
+    dense = np.linalg.eigvals(hamiltonian.matrix)
+    assert window_count(diag, lower * upper, box) == np.count_nonzero(eigen._inside(box, dense))
+
+
 def test_window_solve_refuses_a_wider_band():
     with pytest.raises(ValueError, match="tridiagonal"):
         eig(np.ones((5, 5), dtype=complex), below=0.0)
@@ -466,6 +515,14 @@ def test_vanishing_pivot_is_a_solver_error():
     matrix = np.diag([centre, -1.0, 3.5]).astype(complex)
     with pytest.raises(EigenSolverError, match="pivot"):
         eig(matrix, below=3.0)
+
+
+def test_factorization_stops_at_the_first_vanished_pivot():
+    # u_2 = 1 - 1 * 1 / 1 = 0; the recurrence must not go on to divide by it
+    diag = np.array([1.0, 1.0, 5.0], dtype=complex)
+    lower, upper = np.array([1.0, 2.0], dtype=complex), np.array([1.0, 3.0], dtype=complex)
+    with pytest.raises(EigenSolverError, match="pivot 2 of the shifted factorization vanished"):
+        eigen._tridiagonal_lu(diag, lower, upper)
 
 
 def _solve_and_backward_error(diag, lower, upper, rhs):
@@ -534,6 +591,28 @@ def test_tridiagonal_solve_matches_dense_on_dominant_matrices(n, seed):
     assert backward_error <= 1e-14
     dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
     assert_allclose(x, np.linalg.solve(dense, rhs), rtol=0, atol=1e-12 * np.max(np.abs(x)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    z=st.lists(st.complex_numbers(max_magnitude=0.5), min_size=1, max_size=4),
+)
+def test_ratios_are_quotients_of_leading_minors(n, seed, z):
+    # banded against dense: the LU pivots are det(M_(1..j)) / det(M_(1..j-1)),
+    # and the product of the ratios at z is det(M - z); |z| <= 0.5 keeps
+    # M - z diagonally dominant, so no minor is near zero
+    rng = np.random.default_rng(seed)
+    diag, lower, upper = _dominant_tridiagonal(rng, n)
+    dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+    minors = np.array([1.0] + [np.linalg.det(dense[:j, :j]) for j in range(1, n + 1)])
+    pivots = 1.0 / eigen._tridiagonal_lu(diag, lower, upper)[1]
+    assert_allclose(pivots, minors[1:] / minors[:-1], rtol=1e-10)
+    z = np.array(z, dtype=complex)
+    product = np.prod(list(eigen._ratios(diag, lower * upper, z)), axis=0)
+    want = [np.linalg.det(dense - point * np.eye(n)) for point in z]
+    assert_allclose(product, want, rtol=1e-10)
 
 
 def test_overflowing_doubling_coefficients_are_a_solver_error():
