@@ -8,16 +8,19 @@ eig is the one solver entry point, with two paths:
 - eig(op, below=E) returns only the eigenvalues with real part below E of
   a tridiagonal operator, in O(N m) time and memory with no N x N array.
   H = A + iB with A, B Hermitian, so Gershgorin discs of A and B bound a
-  box that holds them all.  One recurrence, _ratios, serves both stages:
-  r_j = d_j - z - l_(j-1) u_(j-1) / r_(j-1).  Their product around the box
-  edge is det(H - z), whose winding number counts the eigenvalues inside
-  (argument principle; Delves & Lyness, Math. Comp. 21, 1967).  At the box
-  centre sigma they are the pivots of the LU of H - sigma, through which
+  box that holds them all.  One division-free recurrence, _minors, serves
+  both stages: the leading minors D_j = (d_j - z) D_(j-1) -
+  l_(j-1) u_(j-1) D_(j-2) of H - z (Wilkinson, The Algebraic Eigenvalue
+  Problem, 1965).  Around the box edge the last, det(H - z), has a winding
+  number that counts the eigenvalues inside (argument principle; Delves &
+  Lyness, Math. Comp. 21, 1967).  At the box centre sigma the ratios
+  D_j / D_(j-1) are the pivots of the LU of H - sigma, through which
   shift-invert Arnoldi (the design of ARPACK; Lehoucq, Sorensen & Yang,
   1998) with full reorthogonalization finds them, each solve two recursive
-  doubling scans of ceil(log2 N) vector steps.  The Krylov dimension
-  doubles until the converged Ritz values in the box number exactly the
-  certified count; a mismatch at the largest dimension is EigenSolverError.
+  doubling scans of ceil(log2 N) vector steps.  The Krylov dimension grows
+  from 8 by half of itself, at least 8, until the converged Ritz values in
+  the box number exactly the certified count; a mismatch at the largest
+  dimension is EigenSolverError.
 
 Post-processing reports a defective level that discretization split in
 two as one level at its group mean, separates grid-localized bound states
@@ -61,7 +64,7 @@ CONTOUR_MAX_POINTS = 1 << 16
 # A Ritz pair (theta, y) of (H - sigma)^-1 has converged when the Arnoldi
 # residual estimate |h_(m+1,m) y_m| is at most TAU_RITZ |theta|.
 TAU_RITZ = 1e-12
-KRYLOV_START = 40
+KRYLOV_START = 8
 KRYLOV_CAP = 640
 KRYLOV_SEED = 20261018
 
@@ -91,7 +94,10 @@ class SpectrumReport:
     _report, the one constructor.  group_sizes, set once split levels
     are merged, counts the computed eigenvalues behind each entry.  A
     window solve sets below and certified_count, the number of eigenvalues
-    with real part below it."""
+    with real part below it, with how it found them: the shift sigma (None
+    when the count is 0), the Krylov dimension it stopped at (0 when no
+    Arnoldi step ran) and the number of points of the count's final
+    contour (0 when no eigenvalue can lie below)."""
 
     eigenvalues: np.ndarray
     residuals: np.ndarray
@@ -101,6 +107,9 @@ class SpectrumReport:
     group_sizes: np.ndarray = None
     below: float = None
     certified_count: int = None
+    sigma: complex = None
+    krylov_dimension: int = None
+    contour_points: int = None
 
 
 def _report(values, vectors, residuals, group_sizes=None, **fields):
@@ -148,12 +157,13 @@ def _eig_window(bands, below):
     n = diag.size
     lower, upper = (bands.get(k, np.zeros(n - 1, dtype=complex)) for k in (-1, 1))
     box = window_box(diag, lower, upper, below)
-    count = 0 if box is None else window_count(diag, lower * upper, box)
+    count, points = (0, 0) if box is None else _winding(diag, lower * upper, box)
     values, vectors = np.zeros(0, dtype=complex), np.zeros((n, 0), dtype=complex)
+    sigma, m = None, 0
     if count:
         sigma = complex(0.5 * (box[0] + box[1]), 0.5 * (box[2] + box[3]))
         factors = _tridiagonal_lu(diag - sigma, lower, upper)
-        for values, vectors in _shift_invert_ritz(factors, n, sigma):
+        for m, values, vectors in _shift_invert_ritz(factors, n, sigma):
             keep = _inside(box, values)
             if np.count_nonzero(keep) == count:
                 values, vectors = values[keep], vectors[:, keep]
@@ -163,7 +173,8 @@ def _eig_window(bands, below):
                 "%d converged Ritz values below %g, but the argument principle"
                 " counts %d eigenvalues there" % (np.count_nonzero(keep), below, count))
     return _report(values, vectors, functools.partial(_band_residuals, bands),
-                   below=below, certified_count=count)
+                   below=below, certified_count=count, sigma=sigma,
+                   krylov_dimension=m, contour_points=points)
 
 
 def window_box(diag, lower, upper, below):
@@ -197,29 +208,30 @@ def _inside(box, values):
             & (values.imag > im_lo) & (values.imag < im_hi))
 
 
-def _ratios(diag, couplings, z):
-    """Ratios r_j = det(M_(1..j) - z) / det(M_(1..j-1) - z) of the leading
-    minors, row by row: r_1 = d_1 - z, r_j = (d_j - z) - couplings_(j-1) / r_(j-1)
-    with couplings_j = M[j+1, j] M[j, j+1], at a scalar z or an array of them."""
-    rows = diag.tolist()
-    ratio = rows[0] - z
-    yield ratio
-    for d, c in zip(rows[1:], couplings.tolist()):
-        ratio = (d - z) - c / ratio
-        yield ratio
+def _minors(diag, couplings, z):
+    """Pairs (D_j, D_(j-1)) of leading minors D_j = det(M_(1..j) - z) up to a
+    positive scale, from D_0 = 1, D_(-1) = 0 and D_j = (d_j - z) D_(j-1) -
+    c_(j-1) D_(j-2), c_j = couplings_j = M[j+1, j] M[j, j+1], at a scalar z or
+    an array of them.  Every 16 rows, after the yield, both are divided by |D_j|."""
+    minor, previous = 1.0, 0.0
+    for j, (d, c) in enumerate(zip(diag.tolist(), [0.0] + couplings.tolist())):
+        older, previous, minor = previous, minor, d - z
+        minor *= previous  # in place: a contour pass is bound by its array operations
+        minor -= c * older
+        yield minor, previous
+        if j % 16 == 0:  # keep both far from overflow and underflow
+            scale = abs(minor) + (minor == 0)  # a zero minor keeps its scale
+            minor, previous = minor / scale, previous / scale
 
 
 def _det_phase(diag, couplings, z):
-    """det(M - z) / |det(M - z)| at each point z: the product of the _ratios."""
-    phase = np.ones(np.shape(z), dtype=complex)
-    for j, ratio in enumerate(_ratios(diag, couplings, z)):
-        phase *= ratio
-        if j % 16 == 0:  # keep |phase| far from overflow and underflow
-            phase /= np.abs(phase)
-    phase /= np.abs(phase)
-    if not np.all(np.isfinite(phase)):
+    """det(M - z) / |det(M - z)| at each point z: the phase of the last of the _minors."""
+    for det, _ in _minors(diag, couplings, z):
+        pass
+    scale = np.abs(det)
+    if not np.all((scale > 0) & np.isfinite(scale)):
         raise EigenSolverError("det(H - z) vanished on the counting contour")
-    return phase
+    return det / scale
 
 
 def window_count(diag, couplings, box):
@@ -229,6 +241,11 @@ def window_count(diag, couplings, box):
     The edge starts as CONTOUR_POINTS points spread over the four sides by
     length, and each segment over which the phase turns by more than
     PHASE_STEP is halved until none does."""
+    return _winding(diag, couplings, box)[0]
+
+
+def _winding(diag, couplings, box):
+    """window_count with the number of points of its final contour."""
     re_lo, re_hi, im_lo, im_hi = box
     corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
                complex(re_hi, im_hi), complex(re_lo, im_hi)]
@@ -243,7 +260,7 @@ def window_count(diag, couplings, box):
         turns = np.angle(phase[1:] * phase[:-1].conj())
         coarse = np.flatnonzero(np.abs(turns) > PHASE_STEP)
         if coarse.size == 0:
-            return int(round(np.sum(turns) / (2.0 * np.pi)))
+            return int(round(np.sum(turns) / (2.0 * np.pi))), z.size
         if z.size + coarse.size > CONTOUR_MAX_POINTS:
             raise EigenSolverError(
                 "an eigenvalue lies too close to the edge of the counting box")
@@ -255,12 +272,12 @@ def window_count(diag, couplings, box):
 def _tridiagonal_lu(diag, lower, upper):
     """M = LU without pivoting, as the factors of _tridiagonal_solve: the
     doubling coefficients of Ly = b, 1/u and those of Ux = y from the last
-    row up.  The pivots u_j are the _ratios of (diag, lower * upper) at 0,
-    L has multipliers m_j = l_(j-1) / u_(j-1) and U the upper band c_j, so
-    y_j = b_j - m_j y_(j-1) and x_j = y_j / u_j - (c_j / u_j) x_(j+1)."""
+    row up.  The pivots are u_j = D_j / D_(j-1) of the _minors of (diag,
+    lower * upper) at 0, L has multipliers m_j = l_(j-1) / u_(j-1) and U the
+    upper band c_j, so y_j = b_j - m_j y_(j-1), x_j = y_j / u_j - (c_j / u_j) x_(j+1)."""
     tiny = np.finfo(float).eps * float(np.max(np.abs(diag)))
-    pivots = np.array(list(itertools.takewhile(
-        lambda u: abs(u) > tiny, _ratios(diag, lower * upper, 0))), dtype=complex)
+    pivots = np.array(list(itertools.takewhile(lambda u: abs(u) > tiny, (
+        minor / previous for minor, previous in _minors(diag, lower * upper, 0)))), dtype=complex)
     if pivots.size < diag.size:  # stopped before it divided by a vanished pivot
         raise EigenSolverError(
             "pivot %d of the shifted factorization vanished" % (pivots.size + 1))
@@ -304,9 +321,10 @@ def _shift_invert_ritz(factors, n, sigma):
     """Ritz pairs of (M - sigma)^-1 from Arnoldi with full (twice repeated
     Gram-Schmidt) reorthogonalization and a fixed-seed start vector.
 
-    Yields the converged pairs (eigenvalues sigma + 1/theta, unit Ritz
-    vectors as columns) at Krylov dimensions m = KRYLOV_START, 2m, ... up
-    to min(n, KRYLOV_CAP); each extends the previous basis."""
+    Yields the Krylov dimension m with the converged pairs there
+    (eigenvalues sigma + 1/theta, unit Ritz vectors as columns), at
+    m = KRYLOV_START and then m + max(KRYLOV_START, m // 2) (8, 16, 24, 36,
+    54, ...) up to min(n, KRYLOV_CAP); each extends the previous basis."""
     rng = np.random.default_rng(KRYLOV_SEED)
     start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     limit = min(n, KRYLOV_CAP)
@@ -330,10 +348,10 @@ def _shift_invert_ritz(factors, n, sigma):
             basis[k + 1] = w / beta
         theta, ritz = np.linalg.eig(hessenberg[:m, :m])
         converged = np.abs(hessenberg[m, m - 1] * ritz[m - 1]) <= TAU_RITZ * np.abs(theta)
-        yield sigma + 1.0 / theta[converged], basis[:m].T @ ritz[:, converged]
+        yield m, sigma + 1.0 / theta[converged], basis[:m].T @ ritz[:, converged]
         if m >= limit or hessenberg[m, m - 1] == 0.0:
             return
-        k, m = m, min(2 * m, limit)
+        k, m = m, min(m + max(KRYLOV_START, m // 2), limit)
         basis = np.pad(basis, ((0, m - k), (0, 0)))
         hessenberg = np.pad(hessenberg, ((0, m - k), (0, m - k)))
 
@@ -469,7 +487,8 @@ def eigenfunction_residual(model, grid, psi, energy):
 def report_to_dict(report):
     """JSON-ready form: eigenvalues as [re, im] sorted by real part,
     group_sizes for a report whose split levels were merged, and below with
-    certified_count for a window solve."""
+    certified_count, sigma as [re, im] (null without a shift),
+    krylov_dimension and contour_points for a window solve."""
     data = {
         "eigenvalues": [[float(v.real), float(v.imag)] for v in report.eigenvalues],
         "residuals": [float(r) for r in report.residuals],
@@ -478,6 +497,10 @@ def report_to_dict(report):
     if report.certified_count is not None:
         data["below"] = float(report.below)
         data["certified_count"] = int(report.certified_count)
+        data["sigma"] = None if report.sigma is None else [
+            float(report.sigma.real), float(report.sigma.imag)]
+        data["krylov_dimension"] = int(report.krylov_dimension)
+        data["contour_points"] = int(report.contour_points)
     if report.group_sizes is not None:
         data["group_sizes"] = [int(k) for k in report.group_sizes]
     if report.matches:

@@ -503,12 +503,32 @@ def test_spectrum_lists_the_certified_window(capsys):
     assert periodic["spectrum"]["certified_count"] == 8
 
 
+def test_spectrum_reports_how_the_window_was_solved(capsys):
+    # every catalog solve at N=1000 stops before m = 40 (80 for morse
+    # xi=2), the first check of a schedule that doubles from 40
+    ops = [("scarf2", "A=3", 40), ("scarf2", "A=4", 40), ("scarf2", "A=5", 40),
+           ("periodic", None, 40), ("morse", "xi=0.5", 40), ("morse", "xi=1", 40),
+           ("morse", "xi=2", 80)]
+    for model, param, doubled in ops:
+        argv = ["spectrum", "--model", model, "--N", "1000"]
+        _, report = run_json(capsys, *argv, *(["--param", param] if param else []))
+        spectrum = report["spectrum"]
+        assert spectrum["krylov_dimension"] < doubled
+        assert spectrum["contour_points"] >= 1023
+        if spectrum["certified_count"]:
+            assert spectrum["krylov_dimension"] >= spectrum["certified_count"]
+            assert len(spectrum["sigma"]) == 2
+        else:  # morse xi=0.5: nothing to find, no shift, no Krylov step
+            assert spectrum["sigma"] is None and spectrum["krylov_dimension"] == 0
+        assert "sigma" not in report.get("bound_states", {})
+
+
 def test_spectrum_that_loses_a_value_exits_4(capsys, monkeypatch):
     original = eigen._shift_invert_ritz
 
     def lossy(*args):
-        for values, vectors in original(*args):
-            yield values[1:], vectors[:, 1:]
+        for m, values, vectors in original(*args):
+            yield m, values[1:], vectors[:, 1:]
 
     monkeypatch.setattr(eigen, "_shift_invert_ritz", lossy)
     code, out, err = run(

@@ -473,6 +473,19 @@ def test_window_count_equals_the_dense_count_in_its_box(name, env, grid):
     assert window_count(diag, lower * upper, box) == np.count_nonzero(eigen._inside(box, dense))
 
 
+@pytest.mark.parametrize("name, env, count", [
+    ("scarf2", {"A": 3.0}, 2), ("scarf2", {"A": 4.0}, 3), ("scarf2", {"A": 5.0}, 3),
+    ("periodic", {}, 8), ("morse", {"xi": 0.5}, 0), ("morse", {"xi": 1.0}, 1),
+    ("morse", {"xi": 2.0}, 2),
+], ids=lambda v: str(v))
+def test_window_count_of_the_catalog_boxes(name, env, count):
+    # the dense counts of the same boxes at N = 1000
+    entry, _, hamiltonian = _catalog_hamiltonian(name, env, n=1000)
+    diag, lower, upper = (hamiltonian.bands[k] for k in (0, -1, 1))
+    box = window_box(diag, lower, upper, entry.spectrum_window)
+    assert window_count(diag, lower * upper, box) == count
+
+
 def test_window_solve_refuses_a_wider_band():
     with pytest.raises(ValueError, match="tridiagonal"):
         eig(np.ones((5, 5), dtype=complex), below=0.0)
@@ -497,8 +510,8 @@ def test_window_solve_that_loses_a_value_is_a_solver_error(monkeypatch):
     original = eigen._shift_invert_ritz
 
     def lossy(*args):  # a Krylov step that drops one converged pair
-        for values, vectors in original(*args):
-            yield values[1:], vectors[:, 1:]
+        for m, values, vectors in original(*args):
+            yield m, values[1:], vectors[:, 1:]
 
     monkeypatch.setattr(eigen, "_shift_invert_ritz", lossy)
     _, _, hamiltonian = _catalog_hamiltonian("scarf2", {"A": 4.0}, n=200)
@@ -523,6 +536,40 @@ def test_factorization_stops_at_the_first_vanished_pivot():
     lower, upper = np.array([1.0, 2.0], dtype=complex), np.array([1.0, 3.0], dtype=complex)
     with pytest.raises(EigenSolverError, match="pivot 2 of the shifted factorization vanished"):
         eigen._tridiagonal_lu(diag, lower, upper)
+
+
+def _zero_minor_on_a_rescaling_row(n=20):
+    """Bands whose leading minors are exact: D_j = j + 1 for j <= 16 (d_j = 2,
+    couplings 1), then D_17 = 16 * 17 - 17 * 16 = 0 on row 17, where the
+    minors are rescaled, while det(M) does not vanish."""
+    diag = np.full(n, 2.0 + 0j)
+    diag[16] = 16.0
+    lower, upper = np.ones(n - 1, dtype=complex), np.ones(n - 1, dtype=complex)
+    lower[15] = 17.0
+    return diag, lower, upper
+
+
+def test_factorization_stops_at_a_vanished_pivot_on_a_rescaling_row():
+    diag, lower, upper = _zero_minor_on_a_rescaling_row()
+    with pytest.raises(EigenSolverError, match="pivot 17 of the shifted factorization vanished"):
+        eigen._tridiagonal_lu(diag, lower, upper)
+
+
+def test_det_phase_passes_a_zero_minor_on_a_rescaling_row():
+    # D_17 vanishes at z = 0; the division-free minors go on to det(M - z)
+    diag, lower, upper = _zero_minor_on_a_rescaling_row()
+    dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+    z = np.array([0.0, 0.5j])
+    want = np.array([np.linalg.det(dense - point * np.eye(diag.size)) for point in z])
+    assert_allclose(eigen._det_phase(diag, lower * upper, z), want / np.abs(want), rtol=1e-12)
+
+
+def test_contour_through_an_eigenvalue_is_a_solver_error():
+    # the box's first corner is the eigenvalue 17 = d_17, so D_17 vanishes
+    # there on a rescaling row, and with it det(M - z)
+    diag = np.arange(1.0, 21.0).astype(complex)
+    with pytest.raises(EigenSolverError, match=r"det\(H - z\) vanished on the counting contour"):
+        window_count(diag, np.zeros(19, dtype=complex), (17.0, 30.0, 0.0, 1.0))
 
 
 def _solve_and_backward_error(diag, lower, upper, rhs):
@@ -599,20 +646,28 @@ def test_tridiagonal_solve_matches_dense_on_dominant_matrices(n, seed):
     seed=st.integers(0, 2**32 - 1),
     z=st.lists(st.complex_numbers(max_magnitude=0.5), min_size=1, max_size=4),
 )
-def test_ratios_are_quotients_of_leading_minors(n, seed, z):
+def test_minors_are_the_leading_minors(n, seed, z):
     # banded against dense: the LU pivots are det(M_(1..j)) / det(M_(1..j-1)),
-    # and the product of the ratios at z is det(M - z); |z| <= 0.5 keeps
-    # M - z diagonally dominant, so no minor is near zero
+    # and at each z the _minors have the ratios of the leading minors of
+    # M - z and, last, the phase of det(M - z); |z| <= 0.5 keeps M - z
+    # diagonally dominant, so no minor is near zero
     rng = np.random.default_rng(seed)
     diag, lower, upper = _dominant_tridiagonal(rng, n)
     dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
-    minors = np.array([1.0] + [np.linalg.det(dense[:j, :j]) for j in range(1, n + 1)])
+
+    def leading_minors(matrix):
+        return np.array([1.0] + [np.linalg.det(matrix[:j, :j]) for j in range(1, n + 1)])
+
+    minors = leading_minors(dense)
     pivots = 1.0 / eigen._tridiagonal_lu(diag, lower, upper)[1]
     assert_allclose(pivots, minors[1:] / minors[:-1], rtol=1e-10)
     z = np.array(z, dtype=complex)
-    product = np.prod(list(eigen._ratios(diag, lower * upper, z)), axis=0)
-    want = [np.linalg.det(dense - point * np.eye(n)) for point in z]
-    assert_allclose(product, want, rtol=1e-10)
+    pairs = list(eigen._minors(diag, lower * upper, z))
+    want = np.array([leading_minors(dense - point * np.eye(n)) for point in z]).T
+    det = pairs[-1][0]
+    assert_allclose(det / np.abs(det), want[-1] / np.abs(want[-1]), rtol=1e-10)
+    ratios = np.array([minor / previous for minor, previous in pairs])
+    assert_allclose(ratios, want[1:] / want[:-1], rtol=1e-10)
 
 
 def test_overflowing_doubling_coefficients_are_a_solver_error():
