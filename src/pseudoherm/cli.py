@@ -11,9 +11,10 @@ A run takes one path: argparse fills a RunConfig (each option's dest is a
 field, and a subcommand takes only the options it reads), _resolve builds
 the spec and grid the same way for catalog and inline models, the cmd_*
 function returns (report, table, passed), and main makes the one _emit
-call, which writes the report as JSON or, from its column table, as CSV,
-and turns passed into the exit code.  A report without a table (a catalog
-entry or listing, a sweep over several values) has no CSV form.
+call, which writes the report as compact one-line JSON or, from its
+column table, as CSV, and turns passed into the exit code.  A report
+without a table (a catalog entry or listing, a sweep over several values)
+has no CSV form.
 
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 bad
 specification or arguments, 3 evaluation-domain error, 4 eigensolver
@@ -181,15 +182,16 @@ def _cell(value):
 
 
 def _emit(cfg, report, table):
-    """Write the report as JSON, or as CSV from its column table (name ->
-    list): a header row, then one row per entry with floats through repr,
-    bools as 0/1 and strings as they are.  A report whose table is None has
-    no CSV form.  A report that holds NaN or Infinity is refused in either
-    format, as an evaluation error."""
+    """Write the report as JSON on one line with default separators (the C
+    encoder, which an indent would replace by the pure-Python one), or as CSV
+    from its column table (name -> list): a header row, then one row per
+    entry with floats through repr, bools as 0/1 and strings as they are.  A
+    report whose table is None has no CSV form.  A report that holds NaN or
+    Infinity is refused in either format, as an evaluation error."""
     if cfg.fmt == "csv" and table is None:
         raise SpecError(_NO_CSV)
     try:
-        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+        text = json.dumps(report, allow_nan=False) + "\n"
     except ValueError as exc:
         raise EvaluationError("the report holds a non-finite value (%s)" % exc) from None
     if cfg.fmt == "csv":
@@ -224,7 +226,7 @@ def cmd_derive(cfg):
     table.update(re_Veff=veff.real, im_Veff=veff.imag)
     report = {
         "config": _config_dict(cfg, spec, grid),
-        "columns": {k: [float(v) for v in col] for k, col in table.items()},
+        "columns": {k: col.tolist() for k, col in table.items()},
     }
     if not solvable:
         report["notes"] = entry.notes

@@ -52,7 +52,7 @@ INNER_FRACTION = 0.8
 
 # Window solver.  The box is widened on its left, top and bottom edges by
 # BOX_PAD times its larger side, so that no eigenvalue lies near them; its
-# right edge is the window's `below`.
+# right edge is the window's `below`, or nearer, past every eigenvalue.
 BOX_PAD = 0.05
 CONTOUR_POINTS = 1024
 # Contour segments over which the phase of det(H - z) turns by more than
@@ -178,9 +178,11 @@ def _eig_window(bands, below):
 
 
 def window_box(diag, lower, upper, below):
-    """(re_lo, below, im_lo, im_hi): a box that holds every eigenvalue of the
+    """(re_lo, re_hi, im_lo, im_hi): a box that holds every eigenvalue of the
     tridiagonal matrix with real part below `below`, or None when no
-    eigenvalue can have one.
+    eigenvalue can have one.  Its right edge is `below`, or the Gershgorin
+    bound of Re lambda plus BOX_PAD times the spread of the discs when that
+    is nearer, so that a window past the spectrum keeps sigma near it.
 
     For an eigenpair, lambda = v*Av / v*v + i v*Bv / v*v with the Hermitian
     A = (M + M^dag)/2 and B = (M - M^dag)/2i, so Re lambda and Im lambda lie
@@ -192,14 +194,19 @@ def window_box(diag, lower, upper, below):
         mags = np.abs(off)
         return np.concatenate(([0.0], mags)) + np.concatenate((mags, [0.0]))
 
-    re_lo = float(np.min(diag.real - radii(a_off)))
-    b_radii = radii(b_off)
+    a_radii, b_radii = radii(a_off), radii(b_off)
+    re_lo = float(np.min(diag.real - a_radii))
+    re_max = float(np.max(diag.real + a_radii))
     im_lo = float(np.min(diag.imag - b_radii))
     im_hi = float(np.max(diag.imag + b_radii))
     if below <= re_lo:
         return None
-    pad = BOX_PAD * max(below - re_lo, im_hi - im_lo)
-    return (re_lo - pad, below, im_lo - pad, im_hi + pad)
+    # a `below` past every eigenvalue would put sigma far from them all, where
+    # sigma + 1/theta loses their digits; a multiple of the identity has no spread
+    spread = max(re_max - re_lo, im_hi - im_lo) or max(1.0, abs(re_max))
+    right = min(below, re_max + BOX_PAD * spread)
+    pad = BOX_PAD * max(right - re_lo, im_hi - im_lo)
+    return (re_lo - pad, right, im_lo - pad, im_hi + pad)
 
 
 def _inside(box, values):

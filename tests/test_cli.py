@@ -905,6 +905,42 @@ def test_spectrum_unmatched_level_reads_null(capsys):
 # report formats and external input
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("derive", "--W=-xi*exp(-x)", "--param", "xi=1", "--a", "0.5", "--b", "14"),
+        ("verify", "--model", "scarf2", "--param", "A=2", "--N", "200"),
+        ("spectrum", "--model", "scarf2", "--param", "A=4", "--N", "300"),
+        ("spectrum", "--model", "scarf2", "--sweep", "A=2,4", "--N", "300"),
+        ("catalog",),
+        ("catalog", "scarf2", "--param", "A=4"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_json_report_is_one_line(capsys, monkeypatch, argv):
+    built = []
+    emit = pseudoherm.cli._emit
+
+    def keep(cfg, report, table):
+        built.append(report)
+        emit(cfg, report, table)
+
+    monkeypatch.setattr(pseudoherm.cli, "_emit", keep)
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1), err  # a failed check still prints its report
+    assert out.endswith("\n") and "\n" not in out[:-1]
+    assert json.loads(out) == built[0]
+
+
+def test_non_finite_report_is_refused(capsys):
+    # W and I are finite, but G^2 overflows; the C encoder names no value
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, "derive", "--W=1e200*x", "--antideriv", "5e199*x^2",
+                             "--a", "0.5", "--b", "2", "--N", "10")
+    assert (code, out) == (3, "")
+    assert err.startswith("evaluation error: the report holds a non-finite value")
+
+
 def test_catalog_list_refuses_csv(capsys):
     code, out, err = run(capsys, "catalog", "--format", "csv")
     assert code == 2

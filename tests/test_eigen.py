@@ -483,6 +483,7 @@ def test_window_count_of_the_catalog_boxes(name, env, count):
     entry, _, hamiltonian = _catalog_hamiltonian(name, env, n=1000)
     diag, lower, upper = (hamiltonian.bands[k] for k in (0, -1, 1))
     box = window_box(diag, lower, upper, entry.spectrum_window)
+    assert box[1] == entry.spectrum_window  # each window lies below the Gershgorin bound
     assert window_count(diag, lower * upper, box) == count
 
 
@@ -496,6 +497,16 @@ def test_window_solve_below_every_eigenvalue_is_empty():
     assert report.certified_count == 0
     assert report.eigenvalues.size == 0
     assert report_to_dict(report)["certified_count"] == 0
+
+
+@pytest.mark.parametrize("below", [1e4, 1e10, 1e50, 1e308])
+def test_window_far_above_the_spectrum_keeps_its_digits(below):
+    # the box ends just past the Gershgorin bound 3 instead of at below, so
+    # sigma + 1/theta does not cancel the eigenvalues' digits away
+    report = eig(np.diag([1.0, 2.0, 3.0]).astype(complex), below=below)
+    assert report.certified_count == 3
+    assert report.below == below
+    assert_allclose(report.eigenvalues, [1.0, 2.0, 3.0], rtol=0, atol=1e-12)
 
 
 def test_window_solve_is_repeatable():

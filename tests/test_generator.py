@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate
 
 from pseudoherm.expressions import EvaluationError
 from pseudoherm.generator import (
+    KRONROD_NODES,
+    KRONROD_WEIGHTS,
     GeneratorSpec,
     GZeroError,
     QuadratureError,
@@ -119,6 +122,21 @@ def inline_samples(draw):
     xs = np.linspace(a, b, draw(st.integers(1, 60)))
     spec = GeneratorSpec(W=W, env={} if name is None else {name: value})
     return spec, xs, lambda t: closed(t, value)
+
+
+def test_kronrod_table_embeds_the_gauss_rule():
+    nodes, weights = leggauss(10)
+    assert_array_equal(KRONROD_NODES[1::2], nodes)
+    assert_allclose(KRONROD_WEIGHTS[1::2, 1], weights, rtol=1e-14)
+    assert_array_equal(KRONROD_WEIGHTS[::2, 1], 0.0)
+    assert_allclose(KRONROD_WEIGHTS.sum(axis=0), [2.0, 2.0], rtol=1e-15)
+
+
+def test_kronrod_rule_is_exact_up_to_degree_31():
+    # the 21-point Kronrod rule extending the 10-point Gauss rule has degree 3 * 10 + 1
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert KRONROD_WEIGHTS[:, 0] @ KRONROD_NODES**k == pytest.approx(exact, abs=1e-14)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
