@@ -7,8 +7,9 @@ certified eigenvalues below the model's window for a catalog model, the
 dense full spectrum for an inline one), and catalog (list/show the
 ready-made models).
 
-A run takes one path: argparse fills a RunConfig (each option's dest is a
-field, and a subcommand takes only the options it reads), _resolve builds
+A run takes one path: the subcommand parser, the one table of options, fills
+the run's record (a subcommand takes only the options it reads, and
+DEFAULTS supplies what a run reads for one it was not given), _resolve builds
 the spec and grid the same way for catalog and inline models, the cmd_*
 function returns (report, table, passed), and main makes the one _emit
 call, which writes the report as compact one-line JSON or, from its
@@ -54,26 +55,9 @@ EXIT_DOMAIN = 3
 EXIT_SOLVER = 4
 
 
-@dataclasses.dataclass
-class RunConfig:
-    command: str
-    model: str = None
-    W: str = None
-    antideriv: str = None
-    params: dict = dataclasses.field(default_factory=dict)
-    alpha: float = None
-    beta: float = None
-    a: float = None
-    b: float = None
-    N: int = None
-    fmt: str = "json"
-    out: str = None
-    tol_intertwine: float = DEFAULT_TOL_INTERTWINE
-    tol_level: float = DEFAULT_TOL_LEVEL
-    sweep: str = None
-    H_csv: str = None
-    eta_csv: str = None
-    name: str = None
+# what a run reads for an option it was not given; argparse leaves every
+# option at None, so that a given option can be told from an absent one
+DEFAULTS = {"fmt": "json", "tol_intertwine": DEFAULT_TOL_INTERTWINE, "tol_level": DEFAULT_TOL_LEVEL}
 
 
 def _parse_params(pairs):
@@ -111,27 +95,30 @@ def _tolerance(text):
 
 
 def _read_options(cfg):
-    """The fields a run reads, in its subcommand parser's order: all of them,
+    """The options a run reads, in its subcommand parser's order: all of them,
     or only input and output for a verify of CSV matrices or a catalog listing."""
-    bare = cfg.H_csv or cfg.eta_csv or cfg.command == "catalog" and not cfg.name
+    csv_pair = cfg.command == "verify" and (cfg.H_csv or cfg.eta_csv)
+    bare = csv_pair or cfg.command == "catalog" and not cfg.name
     return [name for name in OPTIONS[cfg.command]
             if not bare or name in ("command", "H_csv", "eta_csv", "name", "fmt", "out")]
 
 
 def _config_from_args(args):
-    """RunConfig from the parsed options, refusing a given one the run does not read."""
+    """The run's record: the parsed options with DEFAULTS for those not given
+    and --param as a dict, refusing a given option the run does not read."""
     given = {name: value for name, value in vars(args).items() if value is not None}
-    cfg = RunConfig(**given)
+    cfg = argparse.Namespace(**{**vars(args), **DEFAULTS, **given})
     unread = sorted(given.keys() - set(_read_options(cfg)))
     if unread:
         options = ", ".join("--" + {"params": "param"}.get(n, n).replace("_", "-") for n in unread)
         run = "a verify of --H-csv/--eta-csv" if args.command == "verify" else "a catalog listing"
         raise SpecError("%s reads no %s" % (run, options))
-    return dataclasses.replace(cfg, params=_parse_params(given.get("params")))
+    cfg.params = _parse_params(given.get("params"))
+    return cfg
 
 
 def _resolve(cfg):
-    """Turn a RunConfig into (entry-or-None, spec, grid): the catalog entry
+    """Turn the run's options into (entry-or-None, spec, grid): the catalog entry
     or the inline spec, with --alpha/--beta and --a/--b/--N applied to
     either in the same way.  An inline --antideriv is checked against W on
     the span of the run's interior grid points; a catalog spec keeps its
@@ -286,10 +273,8 @@ def _sweep_runs(cfg):
         raise SpecError("--sweep values must be finite, got '%s'" % cfg.sweep)
     if cfg.fmt == "csv" and len(values) > 1:
         raise SpecError(_NO_CSV)
-    return [
-        (dataclasses.replace(cfg, params={**cfg.params, name: v}, sweep=None), {name: v})
-        for v in values
-    ]
+    return [(argparse.Namespace(**{**vars(cfg), "params": {**cfg.params, name: v}, "sweep": None}),
+             {name: v}) for v in values]
 
 
 def _spectrum_once(cfg, sweep_value):

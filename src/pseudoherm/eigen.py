@@ -17,7 +17,9 @@ eig is the one solver entry point, with two paths:
   D_j / D_(j-1) are the pivots of the LU of H - sigma, through which
   shift-invert Arnoldi (the design of ARPACK; Lehoucq, Sorensen & Yang,
   1998) with full reorthogonalization finds them, each solve two recursive
-  doubling scans of ceil(log2 N) vector steps.  The Krylov dimension grows
+  doubling scans of ceil(log2 N) vector steps, and a Krylov space that turns
+  invariant (a repeated eigenvalue, a matrix that splits into blocks) goes
+  on from a fresh vector orthogonal to it.  The Krylov dimension grows
   from 8 by half of itself, at least 8, until the converged Ritz values in
   the box number exactly the certified count; a mismatch at the largest
   dimension is EigenSolverError.
@@ -67,6 +69,10 @@ TAU_RITZ = 1e-12
 KRYLOV_START = 8
 KRYLOV_CAP = 640
 KRYLOV_SEED = 20261018
+# An Arnoldi step whose new vector keeps at most INVARIANT of its norm after
+# reorthogonalization has closed an invariant subspace: multiples of the
+# identity keep 1.1e-16 at most, and every catalog step at least 9.9e-5.
+INVARIANT = 64 * np.finfo(float).eps
 
 
 class EigenSolverError(RuntimeError):
@@ -157,7 +163,7 @@ def _eig_window(bands, below):
     n = diag.size
     lower, upper = (bands.get(k, np.zeros(n - 1, dtype=complex)) for k in (-1, 1))
     box = window_box(diag, lower, upper, below)
-    count, points = (0, 0) if box is None else _winding(diag, lower * upper, box)
+    count, points = (0, 0) if box is None else window_count(diag, lower * upper, box)
     values, vectors = np.zeros(0, dtype=complex), np.zeros((n, 0), dtype=complex)
     sigma, m = None, 0
     if count:
@@ -242,17 +248,13 @@ def _det_phase(diag, couplings, z):
 
 
 def window_count(diag, couplings, box):
-    """Number of eigenvalues of the tridiagonal matrix inside the box, as the
-    winding number of det(M - z) around its edge (argument principle).
+    """(count, points): the number of eigenvalues of the tridiagonal matrix
+    inside the box, as the winding number of det(M - z) around its edge
+    (argument principle), and the number of points of its final contour.
 
     The edge starts as CONTOUR_POINTS points spread over the four sides by
     length, and each segment over which the phase turns by more than
     PHASE_STEP is halved until none does."""
-    return _winding(diag, couplings, box)[0]
-
-
-def _winding(diag, couplings, box):
-    """window_count with the number of points of its final contour."""
     re_lo, re_hi, im_lo, im_hi = box
     corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
                complex(re_hi, im_hi), complex(re_lo, im_hi)]
@@ -326,7 +328,9 @@ def _tridiagonal_solve(factors, rhs):
 
 def _shift_invert_ritz(factors, n, sigma):
     """Ritz pairs of (M - sigma)^-1 from Arnoldi with full (twice repeated
-    Gram-Schmidt) reorthogonalization and a fixed-seed start vector.
+    Gram-Schmidt) reorthogonalization and a fixed-seed start vector.  A step
+    that closes an invariant subspace (see INVARIANT) sets h_(k+1,k) = 0 and
+    goes on from a fresh vector of the same generator, orthogonalized twice.
 
     Yields the Krylov dimension m with the converged pairs there
     (eigenvalues sigma + 1/theta, unit Ritz vectors as columns), at
@@ -343,20 +347,24 @@ def _shift_invert_ritz(factors, n, sigma):
     while True:
         for k in range(k, m):
             w = _tridiagonal_solve(factors, basis[k])
+            size = np.linalg.norm(w)
             for _ in range(2):
                 coef = (basis[:k + 1] @ w.conj()).conj()
                 w -= coef @ basis[:k + 1]
                 hessenberg[:k + 1, k] += coef
             beta = np.linalg.norm(w)
-            hessenberg[k + 1, k] = beta
-            if beta == 0.0:  # the Krylov space is invariant: every pair is exact
-                m = k + 1
-                break
-            basis[k + 1] = w / beta
+            if beta > INVARIANT * size:
+                hessenberg[k + 1, k] = beta
+                basis[k + 1] = w / beta
+            elif k + 1 < n:  # h_(k+1,k) stays 0; a complete basis needs no next vector
+                w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                for _ in range(2):
+                    w -= (basis[:k + 1] @ w.conj()).conj() @ basis[:k + 1]
+                basis[k + 1] = w / np.linalg.norm(w)
         theta, ritz = np.linalg.eig(hessenberg[:m, :m])
         converged = np.abs(hessenberg[m, m - 1] * ritz[m - 1]) <= TAU_RITZ * np.abs(theta)
         yield m, sigma + 1.0 / theta[converged], basis[:m].T @ ritz[:, converged]
-        if m >= limit or hessenberg[m, m - 1] == 0.0:
+        if m >= limit:
             return
         k, m = m, min(m + max(KRYLOV_START, m // 2), limit)
         basis = np.pad(basis, ((0, m - k), (0, 0)))
@@ -364,7 +372,11 @@ def _shift_invert_ritz(factors, n, sigma):
 
 
 def _band_residuals(bands, values, vectors):
-    """||M v - lambda v||_2 / (||M||_F ||v||_2) per column, from the bands."""
+    """||M v - lambda v||_2 / (||M||_F ||v||_2) per column, from the bands;
+    0, not 0/0, for M = 0, as in operators.hermiticity_residual."""
+    frobenius = _frobenius(bands)
+    if frobenius == 0.0:
+        return np.zeros(values.size)
     n = vectors.shape[0]
     if len(bands) ** 2 > n:  # many diagonals: one dense product, as in operators._product
         applied = DiscreteOperator(bands).matrix @ vectors
@@ -373,7 +385,7 @@ def _band_residuals(bands, values, vectors):
         for k, band in bands.items():
             applied[max(-k, 0):n - max(k, 0)] += band[:, None] * vectors[max(k, 0):n - max(-k, 0)]
     defect = np.linalg.norm(applied - vectors * values, axis=0)
-    return defect / (_frobenius(bands) * np.linalg.norm(vectors, axis=0))
+    return defect / (frobenius * np.linalg.norm(vectors, axis=0))
 
 
 def merge_split_levels(report):

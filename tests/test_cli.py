@@ -1,5 +1,3 @@
-import argparse
-import dataclasses
 import json
 import os
 import subprocess
@@ -13,7 +11,7 @@ import pytest
 
 import pseudoherm
 from pseudoherm import eigen, generator
-from pseudoherm.cli import RunConfig, build_parser, main
+from pseudoherm.cli import main
 from pseudoherm.operators import Grid, build_eta, build_hamiltonian, matrix_to_csv
 from pseudoherm.catalog import get
 from pseudoherm.expressions import parse
@@ -416,7 +414,7 @@ RESOLVED = ["resolved_spec", "resolved_grid"]
 )
 def test_config_holds_the_options_its_run_read(capsys, tmp_path, argv, keys):
     # a run's config lists its subcommand's options in parser order, not
-    # every RunConfig field: derive has no tolerance, sweep, CSV or entry name
+    # those of every subcommand: derive has no tolerance, sweep, CSV or entry name
     if "CSV_PAIR" in argv:
         argv = ("verify", *_csv_pair(tmp_path))
     code, report = run_json(capsys, *argv)
@@ -1003,17 +1001,3 @@ def test_subcommand_refuses_an_option_it_does_not_read(capsys, command, option):
     argv = [command, "--model", "scarf2", "--param", "A=4", "--N", "20", option, "1"]
     assert main(argv) == 2
     assert "unrecognized arguments: %s" % option in capsys.readouterr().err
-
-
-def test_every_option_sets_a_run_config_field():
-    # an option without a field would crash RunConfig(**...) at run time
-    parser = build_parser()
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    dests = {
-        action.dest
-        for sub in commands.choices.values()
-        for action in sub._actions
-        if action.dest != "help"
-    }
-    fields = {field.name for field in dataclasses.fields(RunConfig)} - {"command"}
-    assert dests == fields

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -424,7 +424,7 @@ def test_window_count_of_the_discrete_laplacian():
     exact = (2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))) / h**2
     for below in (0.5 * (exact[0] + exact[1]), 0.5 * (exact[9] + exact[10]), -1.0):
         box = window_box(diag, off, off, below)
-        count = 0 if box is None else window_count(diag, off * off, box)
+        count = 0 if box is None else window_count(diag, off * off, box)[0]
         assert count == np.count_nonzero(exact < below)
 
 
@@ -470,7 +470,8 @@ def test_window_count_equals_the_dense_count_in_its_box(name, env, grid):
     diag, lower, upper = (hamiltonian.bands[k] for k in (0, -1, 1))
     box = window_box(diag, lower, upper, 0.0)
     dense = np.linalg.eigvals(hamiltonian.matrix)
-    assert window_count(diag, lower * upper, box) == np.count_nonzero(eigen._inside(box, dense))
+    count, _ = window_count(diag, lower * upper, box)
+    assert count == np.count_nonzero(eigen._inside(box, dense))
 
 
 @pytest.mark.parametrize("name, env, count", [
@@ -484,7 +485,7 @@ def test_window_count_of_the_catalog_boxes(name, env, count):
     diag, lower, upper = (hamiltonian.bands[k] for k in (0, -1, 1))
     box = window_box(diag, lower, upper, entry.spectrum_window)
     assert box[1] == entry.spectrum_window  # each window lies below the Gershgorin bound
-    assert window_count(diag, lower * upper, box) == count
+    assert window_count(diag, lower * upper, box)[0] == count
 
 
 def test_window_solve_refuses_a_wider_band():
@@ -507,6 +508,75 @@ def test_window_far_above_the_spectrum_keeps_its_digits(below):
     assert report.certified_count == 3
     assert report.below == below
     assert_allclose(report.eigenvalues, [1.0, 2.0, 3.0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("gap", [1e-3, 0.5, 1.0, 10.0])
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 3.0, -1.0, 7.25, 100.0])
+def test_window_solve_of_a_multiple_of_the_identity(c, n, gap):
+    # every Krylov step closes an invariant subspace, so
+    # Arnoldi goes on from fresh vectors until it holds all n eigenvectors
+    report = eig(c * np.eye(n), below=c + gap)
+    assert report.certified_count == n
+    assert_allclose(report.eigenvalues, np.full(n, c), rtol=0, atol=1e-12 * abs(c))
+
+
+def test_window_solve_of_a_repeated_diagonal():
+    report = eig(np.diag([1.0, 1.0, 2.0, 2.0, 3.0]), below=2.5)
+    assert report.certified_count == 4
+    assert_allclose(report.eigenvalues, [1.0, 1.0, 2.0, 2.0], rtol=0, atol=1e-12)
+
+
+def _tridiagonal(rng, n):
+    """Random complex (diag, lower, upper) of an n x n tridiagonal matrix."""
+    return [rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in (n, n - 1, n - 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    block=st.integers(1, 3),
+    copies=st.integers(2, 3),
+    tail=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    split=st.integers(0, 10),
+)
+def test_window_solve_of_a_reducible_tridiagonal_matches_dense(block, copies, tail, seed, split):
+    # a block repeated along the diagonal, a random tail, and some couplings
+    # cut: eigenvalues repeat with independent eigenvectors, and Arnoldi's
+    # Krylov space turns invariant before it holds the window
+    rng = np.random.default_rng(seed)
+    parts = [_tridiagonal(rng, block)] * copies + ([_tridiagonal(rng, tail)] if tail else [])
+    diag = np.concatenate([d for d, _, _ in parts])
+    n = diag.size
+    # the couplings of each part, and 0 where two parts meet
+    lower, upper = (np.concatenate([np.append(part[k], 0.0) for part in parts])[:-1] for k in (1, 2))
+    cut = rng.random(n - 1) < 0.25
+    lower[cut], upper[cut] = 0.0, 0.0
+    matrix = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+    dense = np.linalg.eigvals(matrix)
+    real_parts = np.sort(dense.real)
+    i = split % (n - 1)
+    scale = max(1.0, np.max(np.abs(dense)))
+    # a repeated eigenvalue next to the box edge can alias the count, which
+    # refines its contour by the sampled phase turn alone
+    assume(real_parts[i + 1] - real_parts[i] > 1e-2 * scale)
+    below = 0.5 * (real_parts[i] + real_parts[i + 1])
+    report = eig(matrix, below=below)
+    want = list(dense[dense.real < below])
+    assert report.certified_count == len(want) == report.eigenvalues.size
+    for value in report.eigenvalues:  # as multisets: each value takes its nearest dense one
+        nearest = int(np.argmin(np.abs(np.array(want) - value)))
+        assert abs(want.pop(nearest) - value) <= 1e-8 * scale
+
+
+def test_zero_matrix_has_zero_residuals():
+    # ||0 v - 0 v|| / (||0||_F ||v||) is 0, not 0/0, on both paths
+    dense = eig(np.zeros((3, 3)))
+    window = eig(np.zeros((3, 3)), below=1.0)
+    assert window.certified_count == 3
+    for report in (dense, window):
+        assert_allclose(report.eigenvalues, np.zeros(3), rtol=0, atol=1e-15)
+        assert_array_equal(report.residuals, np.zeros(3))
 
 
 def test_window_solve_is_repeatable():
