@@ -13,8 +13,9 @@ eig is the one solver entry point, with two paths:
   l_(j-1) u_(j-1) D_(j-2) of H - z (Wilkinson, The Algebraic Eigenvalue
   Problem, 1965).  Around the box edge the last, det(H - z), has a winding
   number that counts the eigenvalues inside (argument principle; Delves &
-  Lyness, Math. Comp. 21, 1967).  At the box centre sigma the ratios
-  D_j / D_(j-1) are the pivots of the LU of H - sigma, through which
+  Lyness, Math. Comp. 21, 1967).  Its contour moment over the count is the
+  mean of the eigenvalues inside, and the shift sigma next to it makes the
+  ratios D_j / D_(j-1) the pivots of the LU of H - sigma, through which
   shift-invert Arnoldi (the design of ARPACK; Lehoucq, Sorensen & Yang,
   1998) with full reorthogonalization finds them, each solve two recursive
   doubling scans of ceil(log2 N) vector steps, and a Krylov space that turns
@@ -63,6 +64,8 @@ CONTOUR_POINTS = 1024
 # unless two eigenvalues crowd the same segment.
 PHASE_STEP = np.pi / 4
 CONTOUR_MAX_POINTS = 1 << 16
+BLOCKED_POINTS = 128  # refinement passes up to this size take _blocked_phase
+SHIFT_OFFSET = 1e-4 * (1 + 1j)  # sigma's step off the eigenvalue mean, per box side
 # A Ritz pair (theta, y) of (H - sigma)^-1 has converged when the Arnoldi
 # residual estimate |h_(m+1,m) y_m| is at most TAU_RITZ |theta|.
 TAU_RITZ = 1e-12
@@ -100,10 +103,10 @@ class SpectrumReport:
     _report, the one constructor.  group_sizes, set once split levels
     are merged, counts the computed eigenvalues behind each entry.  A
     window solve sets below and certified_count, the number of eigenvalues
-    with real part below it, with how it found them: the shift sigma (None
-    when the count is 0), the Krylov dimension it stopped at (0 when no
-    Arnoldi step ran) and the number of points of the count's final
-    contour (0 when no eigenvalue can lie below)."""
+    with real part below it, with how it found them: the shift sigma, by the
+    mean of the eigenvalues counted (None when the count is 0), the Krylov
+    dimension it stopped at (0 when no Arnoldi step ran) and the number of
+    points of the count's final contour (0 when no eigenvalue can lie below)."""
 
     eigenvalues: np.ndarray
     residuals: np.ndarray
@@ -163,11 +166,9 @@ def _eig_window(bands, below):
     n = diag.size
     lower, upper = (bands.get(k, np.zeros(n - 1, dtype=complex)) for k in (-1, 1))
     box = window_box(diag, lower, upper, below)
-    count, points = (0, 0) if box is None else window_count(diag, lower * upper, box)
-    values, vectors = np.zeros(0, dtype=complex), np.zeros((n, 0), dtype=complex)
-    sigma, m = None, 0
+    count, points, sigma = (0, 0, None) if box is None else _count(diag, lower * upper, box)
+    values, vectors, m = np.zeros(0, dtype=complex), np.zeros((n, 0), dtype=complex), 0
     if count:
-        sigma = complex(0.5 * (box[0] + box[1]), 0.5 * (box[2] + box[3]))
         factors = _tridiagonal_lu(diag - sigma, lower, upper)
         for m, values, vectors in _shift_invert_ritz(factors, n, sigma):
             keep = _inside(box, values)
@@ -188,7 +189,7 @@ def window_box(diag, lower, upper, below):
     tridiagonal matrix with real part below `below`, or None when no
     eigenvalue can have one.  Its right edge is `below`, or the Gershgorin
     bound of Re lambda plus BOX_PAD times the spread of the discs when that
-    is nearer, so that a window past the spectrum keeps sigma near it.
+    is nearer, so that a window past the spectrum keeps its contour near it.
 
     For an eigenpair, lambda = v*Av / v*v + i v*Bv / v*v with the Hermitian
     A = (M + M^dag)/2 and B = (M - M^dag)/2i, so Re lambda and Im lambda lie
@@ -207,8 +208,8 @@ def window_box(diag, lower, upper, below):
     im_hi = float(np.max(diag.imag + b_radii))
     if below <= re_lo:
         return None
-    # a `below` past every eigenvalue would put sigma far from them all, where
-    # sigma + 1/theta loses their digits; a multiple of the identity has no spread
+    # a `below` past every eigenvalue would stretch the contour, and sigma
+    # with its moment, far from them all; a multiple of the identity has no spread
     spread = max(re_max - re_lo, im_hi - im_lo) or max(1.0, abs(re_max))
     right = min(below, re_max + BOX_PAD * spread)
     pad = BOX_PAD * max(right - re_lo, im_hi - im_lo)
@@ -221,30 +222,66 @@ def _inside(box, values):
             & (values.imag > im_lo) & (values.imag < im_hi))
 
 
-def _minors(diag, couplings, z):
+def _minors(diag, couplings, z, scales=None):
     """Pairs (D_j, D_(j-1)) of leading minors D_j = det(M_(1..j) - z) up to a
     positive scale, from D_0 = 1, D_(-1) = 0 and D_j = (d_j - z) D_(j-1) -
     c_(j-1) D_(j-2), c_j = couplings_j = M[j+1, j] M[j, j+1], at a scalar z or
-    an array of them.  Every 16 rows, after the yield, both are divided by |D_j|."""
+    an array of them.  Every 16 rows, from the second, both are first divided
+    by |D_(j-1)|, and a list `scales` receives each divisor."""
     minor, previous = 1.0, 0.0
     for j, (d, c) in enumerate(zip(diag.tolist(), [0.0] + couplings.tolist())):
+        if j % 16 == 1:  # keep both far from overflow and underflow
+            scale = abs(minor) + (minor == 0)  # a zero minor keeps its scale
+            minor, previous = minor / scale, previous / scale
+            if scales is not None:
+                scales.append(scale)
         older, previous, minor = previous, minor, d - z
         minor *= previous  # in place: a contour pass is bound by its array operations
         minor -= c * older
         yield minor, previous
-        if j % 16 == 0:  # keep both far from overflow and underflow
-            scale = abs(minor) + (minor == 0)  # a zero minor keeps its scale
-            minor, previous = minor / scale, previous / scale
+
+
+def _unit(det):
+    """det / |det|, refused where det(H - z) vanished or overflowed."""
+    scale = np.abs(det)
+    if not np.all((scale > 0) & np.isfinite(scale)):
+        raise EigenSolverError("det(H - z) vanished on the counting contour")
+    return det / scale
 
 
 def _det_phase(diag, couplings, z):
     """det(M - z) / |det(M - z)| at each point z: the phase of the last of the _minors."""
     for det, _ in _minors(diag, couplings, z):
         pass
-    scale = np.abs(det)
-    if not np.all((scale > 0) & np.isfinite(scale)):
-        raise EigenSolverError("det(H - z) vanished on the counting contour")
-    return det / scale
+    return _unit(det)
+
+
+def _blocked_phase(diag, couplings, z):
+    """_det_phase in about 2 sqrt(N) array steps, for a few points z: blocks
+    of ceil(sqrt(N)) rows, the first padded ahead with rows d - z = 1 and no
+    coupling, advance the two fundamental solutions of the _minors recurrence
+    side by side, rescaled as there; then their transfer matrices are chained."""
+    length = int(np.ceil(np.sqrt(diag.size)))
+    blocks = -(-diag.size // length)
+    pad = blocks * length - diag.size
+    shifted = np.concatenate((np.zeros(pad), diag)).reshape(blocks, length).T[:, :, None] - z
+    shifted[:pad, 0] = 1.0
+    coupling = np.concatenate((np.zeros(pad + 1), couplings)).reshape(blocks, length).T[:, :, None]
+    # (current[i], previous[i]) is (D_j, D_(j-1)) from the start (D, D_prev) = e_i
+    current, previous = np.zeros((2, 2, blocks, z.size), dtype=complex)
+    current[0] = previous[1] = 1.0
+    for k in range(length):
+        current, previous = shifted[k] * current - coupling[k] * previous, current
+        if k % 16 == 15:
+            scale = np.abs(current).sum(axis=0)
+            scale += scale == 0
+            current, previous = current / scale, previous / scale
+    pair = np.array([np.ones_like(z), np.zeros_like(z)])
+    for end in np.stack((current, previous)).transpose(2, 0, 1, 3):  # block, row, start
+        pair = (end * pair).sum(axis=1)
+        scale = np.abs(pair).sum(axis=0)
+        pair /= scale + (scale == 0)
+    return _unit(pair[0])
 
 
 def window_count(diag, couplings, box):
@@ -254,7 +291,15 @@ def window_count(diag, couplings, box):
 
     The edge starts as CONTOUR_POINTS points spread over the four sides by
     length, and each segment over which the phase turns by more than
-    PHASE_STEP is halved until none does."""
+    PHASE_STEP is halved until none does: the first pass by the row loop of
+    _minors, each refinement pass of at most BLOCKED_POINTS by _blocked_phase."""
+    return _count(diag, couplings, box)[:2]
+
+
+def _count(diag, couplings, box):
+    """window_count and the shift sigma (None for count 0): the mean s_1 / count
+    by the first pass's moment s_1 = (1/2 pi i) sum z_mid (d log|det(M - z)| +
+    i turn), moved by SHIFT_OFFSET, clamped into the box; if not finite, its centre."""
     re_lo, re_hi, im_lo, im_hi = box
     corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
                complex(re_hi, im_hi), complex(re_lo, im_hi)]
@@ -264,18 +309,30 @@ def window_count(diag, couplings, box):
         k = max(16, int(CONTOUR_POINTS * abs(end - start) / perimeter))
         sides.append(start + (end - start) * np.arange(k) / k)
     z = np.concatenate(sides + [np.array([corners[0]])])
-    phase = _det_phase(diag, couplings, z)
+    scales = []  # log|det| is the sum of the logs of the _minors' divisors and |det|
+    for det, _ in _minors(diag, couplings, z, scales):
+        pass
+    phase = _unit(det)
+    log_det = sum(map(np.log, scales + [np.abs(det)]))
+    step = np.diff(log_det) + 1j * np.angle(phase[1:] * phase[:-1].conj())
+    moment = np.sum(0.5 * (z[1:] + z[:-1]) * step) / (2j * np.pi)
     while True:
         turns = np.angle(phase[1:] * phase[:-1].conj())
         coarse = np.flatnonzero(np.abs(turns) > PHASE_STEP)
         if coarse.size == 0:
-            return int(round(np.sum(turns) / (2.0 * np.pi))), z.size
+            break
         if z.size + coarse.size > CONTOUR_MAX_POINTS:
             raise EigenSolverError(
                 "an eigenvalue lies too close to the edge of the counting box")
         middle = 0.5 * (z[coarse] + z[coarse + 1])
-        phase = np.insert(phase, coarse + 1, _det_phase(diag, couplings, middle))
+        kernel = _blocked_phase if middle.size <= BLOCKED_POINTS else _det_phase
+        phase = np.insert(phase, coarse + 1, kernel(diag, couplings, middle))
         z = np.insert(z, coarse + 1, middle)
+    count = int(round(np.sum(turns) / (2.0 * np.pi)))
+    sigma = moment / max(count, 1) + SHIFT_OFFSET * max(re_hi - re_lo, im_hi - im_lo)
+    sigma = sigma if np.isfinite(sigma) else complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
+    sigma = complex(np.clip(sigma.real, re_lo, re_hi), np.clip(sigma.imag, im_lo, im_hi))
+    return count, z.size, sigma if count else None
 
 
 def _tridiagonal_lu(diag, lower, upper):

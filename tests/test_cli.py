@@ -502,16 +502,17 @@ def test_spectrum_lists_the_certified_window(capsys):
 
 
 def test_spectrum_reports_how_the_window_was_solved(capsys):
-    # every catalog solve at N=1000 stops before m = 40 (80 for morse
-    # xi=2), the first check of a schedule that doubles from 40
-    ops = [("scarf2", "A=3", 40), ("scarf2", "A=4", 40), ("scarf2", "A=5", 40),
-           ("periodic", None, 40), ("morse", "xi=0.5", 40), ("morse", "xi=1", 40),
-           ("morse", "xi=2", 80)]
-    for model, param, doubled in ops:
+    # with sigma by the mean of the counted eigenvalues, the catalog solves
+    # at N=1000 stop by these checks of the schedule 8, 16, 24, 36, 54, ...
+    # (24, 36, 36, 24, 0, 36 and 54 with sigma at the box centre)
+    ops = [("scarf2", "A=3", 16), ("scarf2", "A=4", 24), ("scarf2", "A=5", 36),
+           ("periodic", None, 24), ("morse", "xi=0.5", 0), ("morse", "xi=1", 8),
+           ("morse", "xi=2", 36)]
+    for model, param, dimension in ops:
         argv = ["spectrum", "--model", model, "--N", "1000"]
         _, report = run_json(capsys, *argv, *(["--param", param] if param else []))
         spectrum = report["spectrum"]
-        assert spectrum["krylov_dimension"] < doubled
+        assert spectrum["krylov_dimension"] <= dimension
         assert spectrum["contour_points"] >= 1023
         if spectrum["certified_count"]:
             assert spectrum["krylov_dimension"] >= spectrum["certified_count"]

@@ -488,6 +488,77 @@ def test_window_count_of_the_catalog_boxes(name, env, count):
     assert window_count(diag, lower * upper, box)[0] == count
 
 
+CATALOG_BOXES = [("scarf2", {"A": 3.0}), ("scarf2", {"A": 4.0}), ("scarf2", {"A": 5.0}),
+                 ("periodic", {}), ("morse", {"xi": 0.5}), ("morse", {"xi": 1.0}),
+                 ("morse", {"xi": 2.0})]
+
+
+@pytest.mark.parametrize("n, points", [
+    (1000, [1023, 1023, 1026, 1023, 1023, 1027, 1045]),
+    (2000, [1023, 1023, 1026, 1023, 1023, 1027, 1046]),
+    (8000, [1023, 1023, 1026, 1023, 1023, 1026, 1047]),
+])
+def test_window_count_refines_the_catalog_contours_as_the_row_loop_did(n, points):
+    # the contours that refining every pass by the row loop of _det_phase
+    # ended with; scarf2 A=5 and the morse boxes refine through _blocked_phase
+    for (name, env), count, want in zip(CATALOG_BOXES, [2, 3, 3, 8, 0, 1, 2], points, strict=True):
+        entry, _, hamiltonian = _catalog_hamiltonian(name, env, n=n)
+        diag, lower, upper = (hamiltonian.bands[k] for k in (0, -1, 1))
+        box = window_box(diag, lower, upper, entry.spectrum_window)
+        assert window_count(diag, lower * upper, box) == (count, want)
+
+
+@pytest.mark.parametrize("name, env", [case for case in CATALOG_BOXES if case[1] != {"xi": 0.5}],
+                         ids=lambda v: str(v))
+def test_shift_sits_at_the_mean_of_the_certified_eigenvalues(name, env):
+    entry, _, hamiltonian = _catalog_hamiltonian(name, env, n=1000)
+    diag, lower, upper = (hamiltonian.bands[k] for k in (0, -1, 1))
+    re_lo, re_hi, im_lo, im_hi = window_box(diag, lower, upper, entry.spectrum_window)
+    report = eig(hamiltonian, below=entry.spectrum_window)
+    side = max(re_hi - re_lo, im_hi - im_lo)
+    assert abs(report.sigma - np.mean(report.eigenvalues)) <= 1e-2 * side
+    assert re_lo <= report.sigma.real <= re_hi and im_lo <= report.sigma.imag <= im_hi
+
+
+@pytest.mark.filterwarnings("ignore:.*underresolves:UserWarning")
+def test_deep_ladder_solves_at_a_smaller_krylov_dimension():
+    # at the box centre this window took m = 271
+    entry, _, hamiltonian = _catalog_hamiltonian("scarf2", {"A": 40.0}, n=2000)
+    report = eig(hamiltonian, below=entry.spectrum_window)
+    assert report.certified_count == report.eigenvalues.size == 21
+    assert report.krylov_dimension <= 181
+
+
+def test_shift_stays_off_a_lone_eigenvalue():
+    # the moment puts the mean within 1e-5 of 1 + 1j; SHIFT_OFFSET moves
+    # sigma 3e-4 off it, so no pivot of H - sigma vanishes to rounding
+    report = eig(np.diag([1 + 1j, 5]), below=3)
+    assert report.certified_count == 1
+    assert_allclose(report.eigenvalues, [1 + 1j], rtol=0, atol=1e-12)
+    assert abs(report.sigma - (1 + 1j)) >= 1e-5
+
+
+def test_window_solve_of_one_eigenvalue_of_a_complex_tridiagonal():
+    matrix = (np.diag([2 + 1j, 5 - 1j, 7 + 0.5j, 9]) + np.diag([0.3 + 0.1j, 0.2j, 0.5], 1)
+              + np.diag([0.1, 0.4 - 0.2j, 0.1j], -1))
+    dense = np.linalg.eigvals(matrix)
+    report = eig(matrix, below=3.5)
+    assert report.certified_count == 1
+    assert_allclose(report.eigenvalues, dense[dense.real < 3.5], rtol=0, atol=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="count aliases: 2, where dense finds 3 and 1")
+@pytest.mark.parametrize("below", [1.0001, 0.9999])
+def test_window_solve_of_a_double_eigenvalue_next_to_the_box_edge(below):
+    # the double root turns the phase by nearly 2 pi across one segment of
+    # the first pass, which reads as a small turn and is never halved
+    matrix = np.diag([1 + 1j, 1 + 1j, 0, 3])
+    dense = np.linalg.eigvals(matrix)
+    report = eig(matrix, below=below)
+    assert_allclose(report.eigenvalues, np.sort_complex(dense[dense.real < below]),
+                    rtol=0, atol=1e-12)
+
+
 def test_window_solve_refuses_a_wider_band():
     with pytest.raises(ValueError, match="tridiagonal"):
         eig(np.ones((5, 5), dtype=complex), below=0.0)
@@ -601,14 +672,23 @@ def test_window_solve_that_loses_a_value_is_a_solver_error(monkeypatch):
 
 
 def test_vanishing_pivot_is_a_solver_error():
-    # the shift is the box centre, which depends on the lowest diagonal
-    # entry and on below only; put the first diagonal entry exactly there
-    zero = np.zeros(2, dtype=complex)
-    box = window_box(np.array([0.0, -1.0, 3.5], dtype=complex), zero, zero, 3.0)
-    centre = 0.5 * (box[0] + box[1])
-    matrix = np.diag([centre, -1.0, 3.5]).astype(complex)
-    with pytest.raises(EigenSolverError, match="pivot"):
-        eig(matrix, below=3.0)
+    # the shift is the mean of the window's eigenvalues t, -1 and 2, moved by
+    # SHIFT_OFFSET: sigma(t) has slope 1/3, so Newton's step t += 3/2 (sigma -
+    # t) puts the first diagonal entry t, an eigenvalue, onto sigma; the entry
+    # 1000, outside the window, sets the rounding floor of a pivot
+    rest = [-1.0, 2.0, 3.5, 1000.0]
+    zero = np.zeros(len(rest), dtype=complex)
+
+    def shift(t):
+        diag = np.array([t] + rest, dtype=complex)
+        return eigen._count(diag, zero, window_box(diag, zero, zero, 3.0))[2]
+
+    t = 0.0
+    for _ in range(4):
+        t += 1.5 * (shift(t) - t)
+    assert abs(shift(t) - t) <= np.finfo(float).eps * 1000.0
+    with pytest.raises(EigenSolverError, match="pivot 1 of"):
+        eig(np.diag([t] + rest), below=3.0)
 
 
 def test_factorization_stops_at_the_first_vanished_pivot():
@@ -645,6 +725,45 @@ def test_det_phase_passes_a_zero_minor_on_a_rescaling_row():
     assert_allclose(eigen._det_phase(diag, lower * upper, z), want / np.abs(want), rtol=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+    gap=st.sampled_from([1e-6, 1e-3, 1.0]),
+)
+def test_blocked_phase_is_the_row_loop_phase(n, seed, gap):
+    # random complex tridiagonals of every length, most not a multiple of
+    # the block length, at points a gap from eigenvalues and at random ones
+    rng = np.random.default_rng(seed)
+    diag, lower, upper = _tridiagonal(rng, n)
+    dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+    near = np.linalg.eigvals(dense)[:4] + gap * np.exp(2j * np.pi * rng.random(min(n, 4)))
+    z = np.concatenate((near, 3 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))))
+    # rounding in det(M - z) grows like 1/gap next to an eigenvalue; measured
+    # on 3000 such draws: 1.5e-9 at gap 1e-6, 1.9e-12 at 1e-3, 1.2e-13 at 1
+    tol = np.concatenate((np.full(near.size, 1e-11 / gap), np.full(4, 1e-11)))
+    got = eigen._blocked_phase(diag, lower * upper, z)
+    assert np.all(np.abs(got - eigen._det_phase(diag, lower * upper, z)) <= tol)
+
+
+def test_blocked_phase_passes_a_zero_minor_on_a_block_edge():
+    # n = 22 makes blocks of 5 rows, padded by 3: row 17, where D_17 = 0,
+    # ends the fourth block, and det(M - z) does not vanish
+    diag, lower, upper = _zero_minor_on_a_rescaling_row(22)
+    dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+    z = np.array([0.0, 0.5j])
+    want = np.array([np.linalg.det(dense - point * np.eye(diag.size)) for point in z])
+    assert_allclose(eigen._blocked_phase(diag, lower * upper, z), want / np.abs(want), rtol=1e-12)
+
+
+def test_blocked_phase_through_an_eigenvalue_on_a_block_edge_is_a_solver_error():
+    # n = 20 makes blocks of 5 rows: D_15 = 0 at z = 15 ends the third block,
+    # and with no couplings every later minor, det(M - z) too, vanishes
+    diag = np.arange(1.0, 21.0).astype(complex)
+    with pytest.raises(EigenSolverError, match=r"det\(H - z\) vanished on the counting contour"):
+        eigen._blocked_phase(diag, np.zeros(19, dtype=complex), np.array([15.0, 0.5j]))
+
+
 def test_contour_through_an_eigenvalue_is_a_solver_error():
     # the box's first corner is the eigenvalue 17 = d_17, so D_17 vanishes
     # there on a rescaling row, and with it det(M - z)
@@ -677,11 +796,15 @@ def _dominant_tridiagonal(rng, n):
 
 def _shifted_catalog_hamiltonian(name, env, n):
     """The bands of H - sigma for a catalog model on n points, with sigma
-    the window solver's shift, the centre of its counting box."""
+    the window solver's shift, by the mean of the eigenvalues it counts in
+    its box, or the box centre where it counts none and factors nothing."""
     entry, _, hamiltonian = _catalog_hamiltonian(name, env, n)
     diag, lower, upper = (hamiltonian.bands[k] for k in (0, -1, 1))
     box = window_box(diag, lower, upper, entry.spectrum_window)
-    return diag - complex(0.5 * (box[0] + box[1]), 0.5 * (box[2] + box[3])), lower, upper
+    sigma = eig(hamiltonian, below=entry.spectrum_window).sigma
+    if sigma is None:
+        sigma = complex(0.5 * (box[0] + box[1]), 0.5 * (box[2] + box[3]))
+    return diag - sigma, lower, upper
 
 
 @pytest.mark.filterwarnings("ignore:.*underresolves:UserWarning")
