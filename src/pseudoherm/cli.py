@@ -415,9 +415,9 @@ def main(argv=None):
         return exc.code
     try:
         cfg = _config_from_args(args)
-        # evaluate, eig and _emit each refuse a non-finite value with an
-        # exit code and a message, so numpy's overflow warnings would only
-        # print ahead of it
+        # evaluate, build_hamiltonian, eig and _emit each refuse a non-finite
+        # value with an exit code and a message, so numpy's overflow warnings
+        # would only print ahead of it
         with np.errstate(all="ignore"):
             report, table, passed = COMMANDS[args.command](cfg)
             _emit(cfg, report, table)

@@ -11,19 +11,16 @@ eig is the one solver entry point, with two paths:
   box that holds them all.  One division-free recurrence, _minors, serves
   both stages: the leading minors D_j = (d_j - z) D_(j-1) -
   l_(j-1) u_(j-1) D_(j-2) of H - z (Wilkinson, The Algebraic Eigenvalue
-  Problem, 1965).  Around the box edge the last, det(H - z), has a winding
-  number that counts the eigenvalues inside (argument principle; Delves &
-  Lyness, Math. Comp. 21, 1967).  Its contour moment over the count is the
-  mean of the eigenvalues inside, and the shift sigma next to it makes the
-  ratios D_j / D_(j-1) the pivots of the LU of H - sigma, through which
-  shift-invert Arnoldi (the design of ARPACK; Lehoucq, Sorensen & Yang,
-  1998) with full reorthogonalization finds them, each solve two recursive
-  doubling scans of ceil(log2 N) vector steps, and a Krylov space that turns
-  invariant (a repeated eigenvalue, a matrix that splits into blocks) goes
-  on from a fresh vector orthogonal to it.  The Krylov dimension grows
-  from 8 by half of itself, at least 8, until the converged Ritz values in
-  the box number exactly the certified count; a mismatch at the largest
-  dimension is EigenSolverError.
+  Problem, 1965).  window_count takes the winding number of the last,
+  det(H - z), around the box edge, which counts the eigenvalues inside
+  (argument principle; Delves & Lyness, Math. Comp. 21, 1967): its first
+  pass runs the recurrence row by row, every refinement pass in blocks of
+  rows.  The first pass's contour moment over the count is the mean of
+  the eigenvalues inside, and the shift sigma next to it makes the ratios
+  D_j / D_(j-1) the pivots of the LU of H - sigma.  Shift-invert Arnoldi
+  (ARPACK's design; Lehoucq, Sorensen & Yang, 1998) finds them until its
+  converged Ritz values in the box number the certified count; a mismatch
+  at the largest Krylov dimension is EigenSolverError.
 
 Post-processing reports a defective level that discretization split in
 two as one level at its group mean, separates grid-localized bound states
@@ -34,7 +31,6 @@ which sorts it by (re, im) and sets its reality flags.
 """
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +60,6 @@ CONTOUR_POINTS = 1024
 # unless two eigenvalues crowd the same segment.
 PHASE_STEP = np.pi / 4
 CONTOUR_MAX_POINTS = 1 << 16
-BLOCKED_POINTS = 128  # refinement passes up to this size take _blocked_phase
 SHIFT_OFFSET = 1e-4 * (1 + 1j)  # sigma's step off the eigenvalue mean, per box side
 # A Ritz pair (theta, y) of (H - sigma)^-1 has converged when the Arnoldi
 # residual estimate |h_(m+1,m) y_m| is at most TAU_RITZ |theta|.
@@ -166,7 +161,7 @@ def _eig_window(bands, below):
     n = diag.size
     lower, upper = (bands.get(k, np.zeros(n - 1, dtype=complex)) for k in (-1, 1))
     box = window_box(diag, lower, upper, below)
-    count, points, sigma = (0, 0, None) if box is None else _count(diag, lower * upper, box)
+    count, points, sigma = (0, 0, None) if box is None else window_count(diag, lower * upper, box)
     values, vectors, m = np.zeros(0, dtype=complex), np.zeros((n, 0), dtype=complex), 0
     if count:
         factors = _tridiagonal_lu(diag - sigma, lower, upper)
@@ -250,28 +245,33 @@ def _unit(det):
 
 
 def _det_phase(diag, couplings, z):
-    """det(M - z) / |det(M - z)| at each point z: the phase of the last of the _minors."""
-    for det, _ in _minors(diag, couplings, z):
+    """(det(M - z) / |det(M - z)|, log|det(M - z)|) at each point z, from the
+    last of the _minors: log|det| sums the logs of their divisors and |det|."""
+    scales = []
+    for det, _ in _minors(diag, couplings, z, scales):
         pass
-    return _unit(det)
+    return _unit(det), sum(map(np.log, scales + [np.abs(det)]))
 
 
 def _blocked_phase(diag, couplings, z):
-    """_det_phase in about 2 sqrt(N) array steps, for a few points z: blocks
-    of ceil(sqrt(N)) rows, the first padded ahead with rows d - z = 1 and no
-    coupling, advance the two fundamental solutions of the _minors recurrence
-    side by side, rescaled as there; then their transfer matrices are chained."""
+    """The phase of _det_phase in about 2 sqrt(N) array steps of O(sqrt(N))
+    memory per point: blocks of ceil(sqrt(N)) rows, the first padded ahead
+    with rows d - z = 1 and no coupling, advance the two fundamental
+    solutions of the _minors recurrence side by side, a row of every block
+    per step, rescaled as there; then their transfer matrices are chained."""
     length = int(np.ceil(np.sqrt(diag.size)))
     blocks = -(-diag.size // length)
     pad = blocks * length - diag.size
-    shifted = np.concatenate((np.zeros(pad), diag)).reshape(blocks, length).T[:, :, None] - z
-    shifted[:pad, 0] = 1.0
+    rows = np.concatenate((np.zeros(pad), diag)).reshape(blocks, length).T[:, :, None]
     coupling = np.concatenate((np.zeros(pad + 1), couplings)).reshape(blocks, length).T[:, :, None]
     # (current[i], previous[i]) is (D_j, D_(j-1)) from the start (D, D_prev) = e_i
     current, previous = np.zeros((2, 2, blocks, z.size), dtype=complex)
     current[0] = previous[1] = 1.0
     for k in range(length):
-        current, previous = shifted[k] * current - coupling[k] * previous, current
+        shifted = rows[k] - z
+        if k < pad:
+            shifted[0] = 1.0
+        current, previous = shifted * current - coupling[k] * previous, current
         if k % 16 == 15:
             scale = np.abs(current).sum(axis=0)
             scale += scale == 0
@@ -285,21 +285,17 @@ def _blocked_phase(diag, couplings, z):
 
 
 def window_count(diag, couplings, box):
-    """(count, points): the number of eigenvalues of the tridiagonal matrix
-    inside the box, as the winding number of det(M - z) around its edge
-    (argument principle), and the number of points of its final contour.
+    """(count, points, sigma): the number of eigenvalues of the tridiagonal
+    matrix inside the box, as the winding number of det(M - z) around its
+    edge (argument principle), the number of points of its final contour,
+    and the window solve's shift (None for count 0).
 
     The edge starts as CONTOUR_POINTS points spread over the four sides by
-    length, and each segment over which the phase turns by more than
-    PHASE_STEP is halved until none does: the first pass by the row loop of
-    _minors, each refinement pass of at most BLOCKED_POINTS by _blocked_phase."""
-    return _count(diag, couplings, box)[:2]
-
-
-def _count(diag, couplings, box):
-    """window_count and the shift sigma (None for count 0): the mean s_1 / count
-    by the first pass's moment s_1 = (1/2 pi i) sum z_mid (d log|det(M - z)| +
-    i turn), moved by SHIFT_OFFSET, clamped into the box; if not finite, its centre."""
+    length, taken by _det_phase; each segment over which the phase turns by
+    more than PHASE_STEP is halved, by _blocked_phase, until none does.
+    sigma is the mean s_1 / count by the first pass's moment s_1 = (1/2 pi i)
+    sum z_mid (d log|det(M - z)| + i turn), moved by SHIFT_OFFSET, clamped
+    into the box; where not finite, the box centre."""
     re_lo, re_hi, im_lo, im_hi = box
     corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
                complex(re_hi, im_hi), complex(re_lo, im_hi)]
@@ -309,11 +305,7 @@ def _count(diag, couplings, box):
         k = max(16, int(CONTOUR_POINTS * abs(end - start) / perimeter))
         sides.append(start + (end - start) * np.arange(k) / k)
     z = np.concatenate(sides + [np.array([corners[0]])])
-    scales = []  # log|det| is the sum of the logs of the _minors' divisors and |det|
-    for det, _ in _minors(diag, couplings, z, scales):
-        pass
-    phase = _unit(det)
-    log_det = sum(map(np.log, scales + [np.abs(det)]))
+    phase, log_det = _det_phase(diag, couplings, z)
     step = np.diff(log_det) + 1j * np.angle(phase[1:] * phase[:-1].conj())
     moment = np.sum(0.5 * (z[1:] + z[:-1]) * step) / (2j * np.pi)
     while True:
@@ -325,8 +317,7 @@ def _count(diag, couplings, box):
             raise EigenSolverError(
                 "an eigenvalue lies too close to the edge of the counting box")
         middle = 0.5 * (z[coarse] + z[coarse + 1])
-        kernel = _blocked_phase if middle.size <= BLOCKED_POINTS else _det_phase
-        phase = np.insert(phase, coarse + 1, kernel(diag, couplings, middle))
+        phase = np.insert(phase, coarse + 1, _blocked_phase(diag, couplings, middle))
         z = np.insert(z, coarse + 1, middle)
     count = int(round(np.sum(turns) / (2.0 * np.pi)))
     sigma = moment / max(count, 1) + SHIFT_OFFSET * max(re_hi - re_lo, im_hi - im_lo)
@@ -342,11 +333,12 @@ def _tridiagonal_lu(diag, lower, upper):
     lower * upper) at 0, L has multipliers m_j = l_(j-1) / u_(j-1) and U the
     upper band c_j, so y_j = b_j - m_j y_(j-1), x_j = y_j / u_j - (c_j / u_j) x_(j+1)."""
     tiny = np.finfo(float).eps * float(np.max(np.abs(diag)))
-    pivots = np.array(list(itertools.takewhile(lambda u: abs(u) > tiny, (
-        minor / previous for minor, previous in _minors(diag, lower * upper, 0)))), dtype=complex)
-    if pivots.size < diag.size:  # stopped before it divided by a vanished pivot
-        raise EigenSolverError(
-            "pivot %d of the shifted factorization vanished" % (pivots.size + 1))
+    pivots = []
+    for minor, previous in _minors(diag, lower * upper, 0):
+        pivots.append(minor / previous)
+        if not abs(pivots[-1]) > tiny:  # stop before the next row divides by it
+            raise EigenSolverError("pivot %d of the shifted factorization vanished" % len(pivots))
+    pivots = np.array(pivots, dtype=complex)
     inverse = 1.0 / pivots
     backward = np.concatenate(([0j], (-upper * inverse[:-1])[::-1]))
     forward = np.concatenate(([0j], -lower / pivots[:-1]))
@@ -405,18 +397,14 @@ def _shift_invert_ritz(factors, n, sigma):
         for k in range(k, m):
             w = _tridiagonal_solve(factors, basis[k])
             size = np.linalg.norm(w)
-            for _ in range(2):
-                coef = (basis[:k + 1] @ w.conj()).conj()
-                w -= coef @ basis[:k + 1]
-                hessenberg[:k + 1, k] += coef
+            hessenberg[:k + 1, k] = _orthogonalize(basis[:k + 1], w)
             beta = np.linalg.norm(w)
             if beta > INVARIANT * size:
                 hessenberg[k + 1, k] = beta
                 basis[k + 1] = w / beta
             elif k + 1 < n:  # h_(k+1,k) stays 0; a complete basis needs no next vector
                 w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                for _ in range(2):
-                    w -= (basis[:k + 1] @ w.conj()).conj() @ basis[:k + 1]
+                _orthogonalize(basis[:k + 1], w)
                 basis[k + 1] = w / np.linalg.norm(w)
         theta, ritz = np.linalg.eig(hessenberg[:m, :m])
         converged = np.abs(hessenberg[m, m - 1] * ritz[m - 1]) <= TAU_RITZ * np.abs(theta)
@@ -426,6 +414,17 @@ def _shift_invert_ritz(factors, n, sigma):
         k, m = m, min(m + max(KRYLOV_START, m // 2), limit)
         basis = np.pad(basis, ((0, m - k), (0, 0)))
         hessenberg = np.pad(hessenberg, ((0, m - k), (0, m - k)))
+
+
+def _orthogonalize(basis, w):
+    """Removes from w, in place, its projection on the orthonormal rows of
+    basis by twice repeated Gram-Schmidt; returns the summed coefficients."""
+    total = 0
+    for _ in range(2):
+        coef = (basis @ w.conj()).conj()
+        w -= coef @ basis
+        total += coef
+    return total
 
 
 def _band_residuals(bands, values, vectors):

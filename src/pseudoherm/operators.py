@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expressions import _refuse
 from .generator import SpecError, effective_potential
 
 STIFFNESS_WARN = 0.1
@@ -99,10 +100,13 @@ class DiscreteOperator:
 
 
 def build_hamiltonian(model, grid):
-    """H = -D2 + diag(V + iW) on the grid's interior points."""
+    """H = -D2 + diag(V + iW) on the grid's interior points.  A V + iW that
+    overflows (V holds G^2, Q and alpha / I^2, which evaluate does not see)
+    raises EvaluationError at the first such x."""
     x = grid.points
     h = grid.h
     veff = effective_potential(model, x)
+    _refuse(~np.isfinite(veff), "non-finite potential", x)
     stiffness = np.max(np.abs(veff)) * h * h
     if stiffness > STIFFNESS_WARN:
         warnings.warn(

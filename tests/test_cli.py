@@ -856,6 +856,23 @@ def test_domain_error_prints_no_numpy_warning(capsys, argv):
     assert err.startswith("evaluation error: non-finite value")
 
 
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--model", "morse", "--param", "xi=1e300", "--N", "200"),
+        ("--model", "scarf2", "--param", "A=4", "--alpha", "1e300"),
+        ("--W=-A*sinh(x)/cosh(x)^2", "--param", "A=1e200", "--a", "0.5", "--b", "12"),
+    ],
+    ids=["morse_G_squared", "scarf2_alpha", "inline_W"],
+)
+def test_overflowing_potential_is_a_domain_error_at_its_x(capsys, command, argv):
+    # W and I evaluate finite, but V overflows through G^2, Q or alpha / I^2
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("evaluation error: non-finite potential at x = ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,4 +1,5 @@
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pseudoherm.catalog import get
+from pseudoherm.expressions import EvaluationError
 from pseudoherm.generator import SpecError, derive
 from pseudoherm.operators import (
     DiscreteOperator,
@@ -83,6 +85,17 @@ def test_underresolved_grid_warns():
     model.V = lambda x: 1e6 * np.ones_like(np.asarray(x, dtype=float))
     with pytest.warns(UserWarning, match="underresolves"):
         build_hamiltonian(model, Grid(-1.0, 1.0, 5))
+
+
+def test_overflowing_potential_is_refused_at_its_first_x():
+    # W may be finite where V, through G^2, Q or alpha / I^2, is not; the
+    # refusal comes before the stiffness warning that an infinite V would raise
+    model = free_model()
+    model.V = lambda x: np.where(np.asarray(x) > 1.5, np.inf, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match="non-finite potential at x = 2$"):
+            build_hamiltonian(model, Grid(0.0, 4.0, 3))
 
 
 # ---------------------------------------------------------------------------
