@@ -6,9 +6,12 @@ antiderivative (parsed once, at import), the known real potential, the
 analytic levels, a recommended grid, and a function of the bound parameters
 that returns the fields they change (levels, eigenfunctions).  get builds
 the spec and checks its antiderivative on the grid span before it calls that
-function.  alpha and beta are set on the spec, not parameters.  The morse
-reference ground state grows like e^(-x/2) towards the left end of its grid,
-so its level is not an eigenvalue of the Dirichlet problem on the real line.
+function.  A parameter that makes W vanish (scarf2 A = 0, morse xi = 0,
+constant_w W0 = 0) is refused there: I = int W would vanish too, and every
+pipeline function divides by it.  alpha and beta are set on the spec, not
+parameters.  The morse reference ground state grows like e^(-x/2) towards
+the left end of its grid, so its level is not an eigenvalue of the
+Dirichlet problem on the real line.
 """
 
 import functools
@@ -112,10 +115,18 @@ def morse_eigenfunction(xi, z_scale=1j):
 
 
 def _scarf2(A):
+    if A == 0.0:
+        raise SpecError("model 'scarf2' requires A != 0")
     top = 2 * _GRID_N + 1  # ceil((|A|-1)/2) ladder levels, one per grid point at most
     if abs(A) > top:
         raise SpecError("model 'scarf2' requires |A| <= %d, got A=%g" % (top, A))
     return dict(analytic_levels=scarf_levels(A), scarf_s_t=scarf_parameters(A))
+
+
+def _morse(xi):
+    if xi == 0.0:
+        raise SpecError("model 'morse' requires xi != 0")
+    return dict(eigenfunctions={0: morse_eigenfunction(xi)})
 
 
 def _constant_w(W0, C0):
@@ -161,7 +172,7 @@ MODELS = {
     ),
     "morse": _row(
         ("xi",),
-        lambda xi: dict(eigenfunctions={0: morse_eigenfunction(xi)}),
+        _morse,
         W=parse("-xi*exp(-x)"),
         antiderivative=parse("xi*exp(-x)"),
         beta=-0.25,

@@ -2,9 +2,9 @@
 
 Subcommands: derive (sample the pipeline functions over a grid), verify
 (residuals of the intertwining and Hermiticity identities), spectrum
-(eigensolve with bound-state filtering and analytic matching: the
-certified eigenvalues below the model's window for a catalog model, the
-dense full spectrum for an inline one), and catalog (list/show the
+(the certified eigenvalues below the model's window for a catalog model,
+compared with its analytic levels by the one rule eigen.catalog_states;
+the dense full spectrum for an inline one), and catalog (list/show the
 ready-made models).
 
 A run takes one path: the subcommand parser, the one table of options, fills
@@ -66,6 +66,8 @@ def _parse_params(pairs):
         key, sep, value = pair.partition("=")
         if not sep or not key:
             raise SpecError("--param wants NAME=VALUE, got '%s'" % pair)
+        if key in params:
+            raise SpecError("parameter '%s' is given more than once" % key)
         try:
             params[key] = float(value)
         except ValueError:
@@ -286,20 +288,14 @@ def _spectrum_once(cfg, sweep_value):
     model = derive(spec)
     hamiltonian = operators.build_hamiltonian(model, grid)
     report = eigen.eig(hamiltonian, below=None if entry is None else entry.spectrum_window)
-    filtered = None
-    if entry is not None and entry.continuum_threshold is not None:
-        filtered = eigen.bound_state_filter(report, grid, entry.continuum_threshold)
-    subject = filtered if filtered is not None else report
-    matches = ()
-    if entry is not None and entry.analytic_levels:
-        matches = tuple(eigen.match_levels(subject, entry.analytic_levels, cfg.tol_level))
+    states, matches = (None, ()) if entry is None else eigen.catalog_states(
+        report, grid, entry, cfg.tol_level)
     data = {
         "config": _config_dict(cfg, spec, grid),
         "spectrum": eigen.report_to_dict(dataclasses.replace(report, matches=matches)),
     }
-    if filtered is not None:
-        bound = dataclasses.replace(filtered, matches=matches)
-        data["bound_states"] = eigen.report_to_dict(bound)
+    if entry is not None and entry.continuum_threshold is not None:
+        data["bound_states"] = eigen.report_to_dict(dataclasses.replace(states, matches=matches))
         data["continuum_threshold"] = entry.continuum_threshold
     if matches:
         data["all_levels_matched"] = all(m.matched for m in matches)

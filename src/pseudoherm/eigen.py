@@ -24,8 +24,9 @@ eig is the one solver entry point, with two paths:
 
 Post-processing reports a defective level that discretization split in
 two as one level at its group mean, separates grid-localized bound states
-from discretized continuum, matches computed levels against analytic ones,
-and measures how well a closed-form eigenfunction satisfies the discrete
+from discretized continuum, matches computed levels against analytic ones
+(catalog_states picks the states a catalog spectrum compares), and
+measures how well a closed-form eigenfunction satisfies the discrete
 eigenvalue equation.  Every report comes from one constructor, _report,
 which sorts it by (re, im) and sets its reality flags.
 """
@@ -529,6 +530,24 @@ def match_levels(report, analytic, tol):
             used.add(j)
     return [matches.get(i, LevelMatch(lv, complex("nan"), float("inf"), False))
             for i, lv in enumerate(levels)]
+
+
+def catalog_states(report, grid, entry, tol_level):
+    """(states, matches): the one rule for the states a catalog spectrum
+    compares with its analytic levels, and their matches within tol_level.
+
+    A model with a continuum threshold keeps its bound states
+    (bound_state_filter); one without keeps every eigenvalue below its
+    spectrum_window, split levels merged.  A window report is already inside
+    its window, so there the cut is a no-op; it matters for a dense report.
+    entry is a catalog entry, grid the one the report was solved on."""
+    if entry.continuum_threshold is not None:
+        states = bound_state_filter(report, grid, entry.continuum_threshold)
+    else:
+        keep = report.eigenvalues.real < entry.spectrum_window
+        states = merge_split_levels(_report(
+            report.eigenvalues[keep], report.eigenvectors[:, keep], report.residuals[keep]))
+    return states, tuple(match_levels(states, entry.analytic_levels, tol_level))
 
 
 def eigenfunction_residual(model, grid, psi, energy):

@@ -4,8 +4,10 @@ Each test covers one numbered criterion and prints a single PASS/FAIL line
 with the measured values (run with -s to see them as they complete).  The
 spectra at N=2000 are window solves below each model's spectrum_window
 (certified shift-invert Arnoldi, a fraction of a second each), shared
-through module-scoped fixtures; criterion 9 checks the dense full-spectrum
-path on plain matrices.  The whole file takes a few seconds.
+through one module-scoped fixture, which takes the compared states and
+their matches from eigen.catalog_states, as the spectrum command does;
+criterion 9 checks the dense full-spectrum path on plain matrices.  The
+whole file takes a few seconds.
 """
 
 import dataclasses
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from pseudoherm.catalog import get, morse_eigenfunction, periodic_eigenfunction
-from pseudoherm.eigen import bound_state_filter, eig, eigenfunction_residual, match_levels
+from pseudoherm.eigen import catalog_states, eig, eigenfunction_residual
 from pseudoherm.expressions import evaluate
 from pseudoherm.generator import derive, effective_potential
 from pseudoherm.operators import (
@@ -54,37 +56,21 @@ def fine_operators(pipelines):
     return out
 
 
-def _solve_and_filter(entry, hamiltonian):
-    t0 = time.perf_counter()
-    report = eig(hamiltonian, below=entry.spectrum_window)
-    elapsed = time.perf_counter() - t0
-    filtered = bound_state_filter(report, entry.grid, entry.continuum_threshold)
-    return report, filtered, elapsed
-
-
 @pytest.fixture(scope="module")
-def scarf4_states(fine_operators):
-    entry, _, hamiltonian, _ = fine_operators["scarf2"]
-    return _solve_and_filter(entry, hamiltonian)
-
-
-@pytest.fixture(scope="module")
-def scarf1_states():
+def spectra(fine_operators):
+    """(window report, states, matches, solve seconds) of each model and of
+    scarf2 at A=1, the states and matches as spectrum reports them."""
+    cases = {name: (entry, hamiltonian)
+             for name, (entry, _, hamiltonian, _) in fine_operators.items()}
     entry = get("scarf2", {"A": 1.0})
-    hamiltonian = build_hamiltonian(derive(entry.spec), entry.grid)
-    return _solve_and_filter(entry, hamiltonian)
-
-
-@pytest.fixture(scope="module")
-def periodic_report(fine_operators):
-    entry, _, hamiltonian, _ = fine_operators["periodic"]
-    return eig(hamiltonian, below=entry.spectrum_window)
-
-
-@pytest.fixture(scope="module")
-def morse_states(fine_operators):
-    entry, _, hamiltonian, _ = fine_operators["morse"]
-    return _solve_and_filter(entry, hamiltonian)
+    cases["scarf2 A=1"] = (entry, build_hamiltonian(derive(entry.spec), entry.grid))
+    out = {}
+    for name, (entry, hamiltonian) in cases.items():
+        t0 = time.perf_counter()
+        report = eig(hamiltonian, below=entry.spectrum_window)
+        elapsed = time.perf_counter() - t0
+        out[name] = (report, *catalog_states(report, entry.grid, entry, 1e-2), elapsed)
+    return out
 
 
 def test_criterion_01_derived_potentials_match_closed_forms():
@@ -134,9 +120,9 @@ def test_criterion_03_metric_and_product_hermiticity(fine_operators):
     criterion(3, "Hermiticity", checks)
 
 
-def test_criterion_04_scarf_spectrum(scarf4_states, scarf1_states):
-    _, filtered4, elapsed4 = scarf4_states
-    _, filtered1, _ = scarf1_states
+def test_criterion_04_scarf_spectrum(spectra):
+    _, filtered4, _, elapsed4 = spectra["scarf2"]
+    _, filtered1, _, _ = spectra["scarf2 A=1"]
     values4 = np.sort_complex(filtered4.eigenvalues)
     checks = [
         (
@@ -170,11 +156,11 @@ def test_criterion_04_scarf_spectrum(scarf4_states, scarf1_states):
     criterion(4, "Scarf II spectrum", checks)
 
 
-def test_criterion_05_periodic_spectrum(periodic_report, fine_operators):
+def test_criterion_05_periodic_spectrum(spectra, fine_operators):
     entry, _, _, _ = fine_operators["periodic"]
     grid = entry.grid
-    levels = (0.25, 2.25, 4.0, 6.25)
-    matches = match_levels(periodic_report, levels, tol=1e-2)
+    periodic_report, _, matches, _ = spectra["periodic"]
+    matches = [m for m in matches if m.level in (0.25, 2.25, 4.0, 6.25)]
     checks = []
     for match in matches:
         checks.append(
@@ -209,9 +195,9 @@ def test_criterion_06_periodic_eigenfunction_residuals(pipelines):
     criterion(6, "periodic eigenfunctions", checks)
 
 
-def test_criterion_07_morse_bound_state(morse_states, pipelines):
+def test_criterion_07_morse_bound_state(spectra, pipelines):
     entry, model = pipelines["morse"]
-    _, filtered, _ = morse_states
+    _, filtered, _, _ = spectra["morse"]
     values = np.sort_complex(filtered.eigenvalues)
     ok_count = len(values) == 1
     if len(values) >= 1:

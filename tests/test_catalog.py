@@ -238,8 +238,12 @@ def test_constant_w_requires_both_parameters():
 
 
 def test_constant_w_requires_nonzero_w0():
-    with pytest.raises(SpecError, match="W0 != 0"):
-        get("constant_w", {"W0": 0.0, "C0": 1.0})
+    # so do scarf2 and morse: W = 0 makes I = 0, which every pipeline function divides by
+    cases = [("constant_w", {"W0": 0.0, "C0": 1.0}, "W0 != 0"),
+             ("scarf2", {"A": 0.0}, "A != 0"), ("morse", {"xi": 0.0}, "xi != 0")]
+    for name, env, message in cases:
+        with pytest.raises(SpecError, match=message):
+            get(name, env)
 
 
 def test_recommended_grids():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -580,6 +581,25 @@ def test_spectrum_scarf_a4_reports_the_split_level_once(capsys):
     assert "group_sizes" not in report["spectrum"]
 
 
+@pytest.mark.parametrize("model, env", [("scarf2", {"A": 4.0}), ("periodic", {})])
+def test_spectrum_reports_the_catalog_states(capsys, model, env):
+    # bound_states and matches are those of eigen.catalog_states on the window solve
+    params = [arg for name, value in env.items() for arg in ("--param", "%s=%r" % (name, value))]
+    code, report = run_json(capsys, "spectrum", "--model", model, *params, "--N", "400")
+    assert code == 0
+    entry = get(model, env)
+    grid = Grid(entry.grid.a, entry.grid.b, 400)
+    window = eigen.eig(build_hamiltonian(derive(entry.spec), grid), below=entry.spectrum_window)
+    states, matches = eigen.catalog_states(window, grid, entry, 1e-2)
+    assert report["spectrum"]["matches"] == eigen.report_to_dict(
+        dataclasses.replace(window, matches=matches))["matches"]
+    if entry.continuum_threshold is not None:
+        want = eigen.report_to_dict(dataclasses.replace(states, matches=matches))
+        assert report["bound_states"] == want
+    else:
+        assert "bound_states" not in report
+
+
 def test_spectrum_periodic_matches_level_4_as_real(capsys):
     code, report = run_json(capsys, "spectrum", "--model", "periodic", "--N", "400")
     assert code == 0
@@ -700,6 +720,13 @@ def test_bad_param_syntax(capsys):
     code, out, err = run(capsys, "derive", "--model", "scarf2", "--param", "A=foo")
     assert code == 2
     assert "parameter 'A' has non-numeric value 'foo'" in err
+    # a repeated --param is refused; a --sweep value may still replace one
+    argv = ("spectrum", "--model", "scarf2", "--param", "A=4", "--N", "200")
+    code, out, err = run(capsys, *argv, "--param", "A=5")
+    assert (code, out) == (2, "")
+    assert "parameter 'A' is given more than once" in err
+    code, report = run_json(capsys, *argv, "--sweep", "A=5")
+    assert report["config"]["resolved_spec"]["params"] == {"A": 5.0}
 
 
 @pytest.mark.parametrize(
@@ -778,6 +805,16 @@ def test_scarf_ladder_too_long_for_the_grid_is_a_spec_error(capsys, command, A):
     assert out == ""
     assert err.startswith("specification error: model 'scarf2' requires |A| <= 4001")
     assert "got A=%g" % float(A) in err
+
+
+@pytest.mark.parametrize("command", [("spectrum", "--model", "scarf2", "--N", "200"),
+                                     ("catalog", "scarf2")])
+def test_zero_generator_of_a_catalog_model_is_a_spec_error(capsys, command):
+    # A = 0 makes W = I = 0; a tiny nonzero A is still a model
+    code, out, err = run(capsys, *command, "--param", "A=0")
+    assert (code, out) == (2, "")
+    assert err == "specification error: model 'scarf2' requires A != 0\n"
+    assert run(capsys, *command, "--param", "A=1e-300")[0] in (0, 1)
 
 
 def test_derive_wide_window_keeps_decaying_antiderivative(capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +13,7 @@ from pseudoherm.eigen import (
     SpectrumReport,
     ZeroEigenfunctionError,
     bound_state_filter,
+    catalog_states,
     eig,
     eigenfunction_residual,
     match_levels,
@@ -375,23 +375,6 @@ def _catalog_hamiltonian(name, env, n=400):
     return entry, grid, build_hamiltonian(derive(entry.spec), grid)
 
 
-def _merged(entry, grid, report):
-    """Merged states in the window and their matches, as spectrum reports
-    them: the bound states, or for periodic every level below its window."""
-    if entry.continuum_threshold is not None:
-        subject = bound_state_filter(report, grid, entry.continuum_threshold)
-    else:
-        keep = report.eigenvalues.real < entry.spectrum_window
-        subject = merge_split_levels(dataclasses.replace(
-            report,
-            eigenvalues=report.eigenvalues[keep],
-            residuals=report.residuals[keep],
-            reality_flags=report.reality_flags[keep],
-            eigenvectors=report.eigenvectors[:, keep],
-        ))
-    return subject, match_levels(subject, entry.analytic_levels, 1e-2)
-
-
 @pytest.mark.parametrize("name, env", WINDOW_CASES, ids=lambda v: str(v))
 def test_window_solve_agrees_with_dense(name, env):
     entry, grid, hamiltonian = _catalog_hamiltonian(name, env)
@@ -406,8 +389,8 @@ def test_window_solve_agrees_with_dense(name, env):
         assert np.min(np.abs(in_window - value)) <= 1e-8
     assert np.max(window.residuals, initial=0.0) <= TAU_SOLVER
     assert window.eigenvectors.shape == (grid.n, window.eigenvalues.size)
-    dense_states, dense_matches = _merged(entry, grid, dense)
-    window_states, window_matches = _merged(entry, grid, window)
+    dense_states, dense_matches = catalog_states(dense, grid, entry, 1e-2)
+    window_states, window_matches = catalog_states(window, grid, entry, 1e-2)
     assert_allclose(window_states.eigenvalues, dense_states.eigenvalues, rtol=0, atol=1e-10)
     assert window_states.group_sizes.tolist() == dense_states.group_sizes.tolist()
     for got, want in zip(window_matches, dense_matches, strict=True):
