@@ -27,6 +27,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -409,6 +410,8 @@ def main(argv=None):
         args = PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error or help
         return exc.code
+    # a warning (build_hamiltonian's stiffness) prints as one line, as errors do
+    default, warnings.formatwarning = warnings.formatwarning, lambda m, *_: "warning: %s\n" % m
     try:
         cfg = _config_from_args(args)
         # evaluate, build_hamiltonian, eig and _emit each refuse a non-finite
@@ -427,6 +430,8 @@ def main(argv=None):
     except EvaluationError as exc:
         print("evaluation error: %s" % exc, file=sys.stderr)
         return EXIT_DOMAIN
+    finally:
+        warnings.formatwarning = default
 
 
 if __name__ == "__main__":

@@ -13,9 +13,9 @@ eig is the one solver entry point, with two paths:
   l_(j-1) u_(j-1) D_(j-2) of H - z (Wilkinson, The Algebraic Eigenvalue
   Problem, 1965).  window_count takes the winding number of the last,
   det(H - z), around the box edge, which counts the eigenvalues inside
-  (argument principle; Delves & Lyness, Math. Comp. 21, 1967): its first
-  pass runs the recurrence row by row, every refinement pass in blocks of
-  rows.  The first pass's contour moment over the count is the mean of
+  (argument principle; Delves & Lyness, Math. Comp. 21, 1967), each pass
+  in blocks of rows with d/dz log det(H - z), which guards every segment.
+  The final contour's moment over the count is the mean of
   the eigenvalues inside, and the shift sigma next to it makes the ratios
   D_j / D_(j-1) the pivots of the LU of H - sigma.  Shift-invert Arnoldi
   (ARPACK's design; Lehoucq, Sorensen & Yang, 1998) finds them until its
@@ -54,12 +54,7 @@ INNER_FRACTION = 0.8
 # BOX_PAD times its larger side, so that no eigenvalue lies near them; its
 # right edge is the window's `below`, or nearer, past every eigenvalue.
 BOX_PAD = 0.05
-CONTOUR_POINTS = 1024
-# Contour segments over which the phase of det(H - z) turns by more than
-# PHASE_STEP are halved.  Along one straight segment each eigenvalue turns
-# the phase by less than pi, so a measured turn that small is the true one
-# unless two eigenvalues crowd the same segment.
-PHASE_STEP = np.pi / 4
+CONTOUR_POINTS = 128
 CONTOUR_MAX_POINTS = 1 << 16
 SHIFT_OFFSET = 1e-4 * (1 + 1j)  # sigma's step off the eigenvalue mean, per box side
 # A Ritz pair (theta, y) of (H - sigma)^-1 has converged when the Arnoldi
@@ -174,7 +169,8 @@ def _eig_window(bands, below):
         else:
             raise EigenSolverError(
                 "%d converged Ritz values below %g, but the argument principle"
-                " counts %d eigenvalues there" % (np.count_nonzero(keep), below, count))
+                " counts %d eigenvalues there; Arnoldi stopped at Krylov dimension %d,"
+                " the cap min(N, %d)" % (np.count_nonzero(keep), below, count, m, KRYLOV_CAP))
     return _report(values, vectors, functools.partial(_band_residuals, bands),
                    below=below, certified_count=count, sigma=sigma,
                    krylov_dimension=m, contour_points=points)
@@ -218,71 +214,68 @@ def _inside(box, values):
             & (values.imag > im_lo) & (values.imag < im_hi))
 
 
-def _minors(diag, couplings, z, scales=None):
+def _minors(diag, couplings, z):
     """Pairs (D_j, D_(j-1)) of leading minors D_j = det(M_(1..j) - z) up to a
     positive scale, from D_0 = 1, D_(-1) = 0 and D_j = (d_j - z) D_(j-1) -
     c_(j-1) D_(j-2), c_j = couplings_j = M[j+1, j] M[j, j+1], at a scalar z or
     an array of them.  Every 16 rows, from the second, both are first divided
-    by |D_(j-1)|, and a list `scales` receives each divisor."""
+    by |D_(j-1)|."""
     minor, previous = 1.0, 0.0
     for j, (d, c) in enumerate(zip(diag.tolist(), [0.0] + couplings.tolist())):
         if j % 16 == 1:  # keep both far from overflow and underflow
             scale = abs(minor) + (minor == 0)  # a zero minor keeps its scale
             minor, previous = minor / scale, previous / scale
-            if scales is not None:
-                scales.append(scale)
-        older, previous, minor = previous, minor, d - z
-        minor *= previous  # in place: a contour pass is bound by its array operations
-        minor -= c * older
+        minor, previous = (d - z) * minor - c * previous, minor
         yield minor, previous
 
 
-def _unit(det):
-    """det / |det|, refused where det(H - z) vanished or overflowed."""
-    scale = np.abs(det)
-    if not np.all((scale > 0) & np.isfinite(scale)):
-        raise EigenSolverError("det(H - z) vanished on the counting contour")
-    return det / scale
-
-
-def _det_phase(diag, couplings, z):
-    """(det(M - z) / |det(M - z)|, log|det(M - z)|) at each point z, from the
-    last of the _minors: log|det| sums the logs of their divisors and |det|."""
-    scales = []
-    for det, _ in _minors(diag, couplings, z, scales):
-        pass
-    return _unit(det), sum(map(np.log, scales + [np.abs(det)]))
-
-
 def _blocked_phase(diag, couplings, z):
-    """The phase of _det_phase in about 2 sqrt(N) array steps of O(sqrt(N))
-    memory per point: blocks of ceil(sqrt(N)) rows, the first padded ahead
-    with rows d - z = 1 and no coupling, advance the two fundamental
-    solutions of the _minors recurrence side by side, a row of every block
-    per step, rescaled as there; then their transfer matrices are chained."""
-    length = int(np.ceil(np.sqrt(diag.size)))
+    """(det / |det|, log|det|, f'/f = d/dz log det) of det(M - z) at each
+    point z, in about 2.5 sqrt(N) array steps of O(sqrt(N)) memory per point:
+    blocks of ceil(2 sqrt(N)) rows, the first padded ahead with rows d - z = 1
+    and no coupling, advance the two fundamental solutions of the _minors
+    recurrence and their derivatives D'_j = (d_j - z) D'_(j-1) - D_(j-1) -
+    c_(j-1) D'_(j-2) a row of every block per step, all divided every 16 rows
+    by the solutions' size, whose log is kept; the block transfers [[T, 0],
+    [T', T]] then carry (D, D_prev, D', D'_prev) from (1, 0, 0, 0), rescaled alike."""
+    length = int(np.ceil(2 * np.sqrt(diag.size)))  # half sqrt(N)'s blocks, half its state
     blocks = -(-diag.size // length)
     pad = blocks * length - diag.size
     rows = np.concatenate((np.zeros(pad), diag)).reshape(blocks, length).T[:, :, None]
     coupling = np.concatenate((np.zeros(pad + 1), couplings)).reshape(blocks, length).T[:, :, None]
-    # (current[i], previous[i]) is (D_j, D_(j-1)) from the start (D, D_prev) = e_i
-    current, previous = np.zeros((2, 2, blocks, z.size), dtype=complex)
-    current[0] = previous[1] = 1.0
+    # [D or D'][start e_i] at rows j and j - 1, and a buffer for row j + 1
+    current, previous, spare = np.zeros((3, 2, 2, blocks, z.size), dtype=complex)
+    current[0, 0] = previous[0, 1] = 1.0
+    log_size = np.zeros(z.size)
     for k in range(length):
         shifted = rows[k] - z
         if k < pad:
             shifted[0] = 1.0
-        current, previous = shifted * current - coupling[k] * previous, current
+        np.multiply(current, shifted, out=spare)
+        previous *= coupling[k]
+        spare -= previous
+        spare[1] -= current[0]
+        current, previous, spare = spare, current, previous
         if k % 16 == 15:
-            scale = np.abs(current).sum(axis=0)
+            scale = np.abs(current[0]).sum(axis=0)
             scale += scale == 0
-            current, previous = current / scale, previous / scale
-    pair = np.array([np.ones_like(z), np.zeros_like(z)])
-    for end in np.stack((current, previous)).transpose(2, 0, 1, 3):  # block, row, start
+            current /= scale
+            previous /= scale
+            log_size += np.log(scale).sum(axis=0)
+    ends = np.stack((current, previous), 1).reshape(4, 2, blocks, z.size)  # [row, start i]
+    transfer = np.concatenate((ends, np.concatenate((0 * ends[:2], ends[:2]))), axis=1)
+    pair = np.outer([1, 0, 0, 0], np.ones_like(z))
+    for end in np.moveaxis(transfer, 2, 0):
         pair = (end * pair).sum(axis=1)
-        scale = np.abs(pair).sum(axis=0)
-        pair /= scale + (scale == 0)
-    return _unit(pair[0])
+        scale = np.abs(pair[:2]).sum(axis=0)
+        scale += scale == 0
+        pair /= scale
+        log_size += np.log(scale)
+    size = np.abs(pair[0])
+    if not np.all((size > 0) & np.isfinite(size)):
+        raise EigenSolverError("det(H - z) vanished on the counting contour")
+    # each pad row took D' -= D, though it does not depend on z: f'/f lacks pad
+    return pair[0] / size, log_size + np.log(size), pair[2] / pair[0] + pad
 
 
 def window_count(diag, couplings, box):
@@ -292,11 +285,14 @@ def window_count(diag, couplings, box):
     and the window solve's shift (None for count 0).
 
     The edge starts as CONTOUR_POINTS points spread over the four sides by
-    length, taken by _det_phase; each segment over which the phase turns by
-    more than PHASE_STEP is halved, by _blocked_phase, until none does.
-    sigma is the mean s_1 / count by the first pass's moment s_1 = (1/2 pi i)
-    sum z_mid (d log|det(M - z)| + i turn), moved by SHIFT_OFFSET, clamped
-    into the box; where not finite, the box centre."""
+    length, and every pass runs _blocked_phase.  A segment is halved while
+    the phase turn sampled at its ends, read in (-pi, pi], and the trapezoid
+    value of the integral of Im(f'/f dz) differ by more than pi/2, or while
+    |f'/f dz| at either end exceeds pi, as next to a double root, whose two
+    ends cancel in the trapezoid (Ying & Katz, Numer. Math. 53, 1988).
+    sigma is the mean s_1 / count by the final contour's moment s_1 =
+    (1/2 pi i) sum z_mid (d log|det(M - z)| + i turn), moved by SHIFT_OFFSET,
+    clamped into the box; where not finite, the box centre."""
     re_lo, re_hi, im_lo, im_hi = box
     corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
                complex(re_hi, im_hi), complex(re_lo, im_hi)]
@@ -306,21 +302,22 @@ def window_count(diag, couplings, box):
         k = max(16, int(CONTOUR_POINTS * abs(end - start) / perimeter))
         sides.append(start + (end - start) * np.arange(k) / k)
     z = np.concatenate(sides + [np.array([corners[0]])])
-    phase, log_det = _det_phase(diag, couplings, z)
-    step = np.diff(log_det) + 1j * np.angle(phase[1:] * phase[:-1].conj())
-    moment = np.sum(0.5 * (z[1:] + z[:-1]) * step) / (2j * np.pi)
+    samples = np.array([z, *_blocked_phase(diag, couplings, z)])
     while True:
+        z, phase, log_det, slope = samples
         turns = np.angle(phase[1:] * phase[:-1].conj())
-        coarse = np.flatnonzero(np.abs(turns) > PHASE_STEP)
+        left, right = slope[:-1] * np.diff(z), slope[1:] * np.diff(z)  # f'/f dz at each end
+        coarse = np.flatnonzero((np.abs(0.5 * (left + right).imag - turns) > np.pi / 2)
+                                | (np.maximum(np.abs(left), np.abs(right)) > np.pi))
         if coarse.size == 0:
             break
         if z.size + coarse.size > CONTOUR_MAX_POINTS:
-            raise EigenSolverError(
-                "an eigenvalue lies too close to the edge of the counting box")
+            raise EigenSolverError("an eigenvalue lies too close to the edge of the counting box")
         middle = 0.5 * (z[coarse] + z[coarse + 1])
-        phase = np.insert(phase, coarse + 1, _blocked_phase(diag, couplings, middle))
-        z = np.insert(z, coarse + 1, middle)
+        samples = np.insert(samples, coarse + 1, [middle, *_blocked_phase(diag, couplings, middle)],
+                            axis=1)
     count = int(round(np.sum(turns) / (2.0 * np.pi)))
+    moment = np.sum(0.5 * (z[1:] + z[:-1]) * (np.diff(log_det.real) + 1j * turns)) / (2j * np.pi)
     sigma = moment / max(count, 1) + SHIFT_OFFSET * max(re_hi - re_lo, im_hi - im_lo)
     sigma = sigma if np.isfinite(sigma) else complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
     sigma = complex(np.clip(sigma.real, re_lo, re_hi), np.clip(sigma.imag, im_lo, im_hi))
@@ -391,30 +388,30 @@ def _shift_invert_ritz(factors, n, sigma):
     limit = min(n, KRYLOV_CAP)
     m = min(KRYLOV_START, limit)
     basis = np.zeros((m + 1, n), dtype=complex)
-    hessenberg = np.zeros((m + 1, m), dtype=complex)
+    columns = np.zeros((m, limit + 1), dtype=complex)  # column k of the Hessenberg matrix as row k
     basis[0] = start / np.linalg.norm(start)
     k = 0
     while True:
         for k in range(k, m):
             w = _tridiagonal_solve(factors, basis[k])
             size = np.linalg.norm(w)
-            hessenberg[:k + 1, k] = _orthogonalize(basis[:k + 1], w)
+            columns[k, :k + 1] = _orthogonalize(basis[:k + 1], w)
             beta = np.linalg.norm(w)
             if beta > INVARIANT * size:
-                hessenberg[k + 1, k] = beta
+                columns[k, k + 1] = beta
                 basis[k + 1] = w / beta
             elif k + 1 < n:  # h_(k+1,k) stays 0; a complete basis needs no next vector
                 w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 _orthogonalize(basis[:k + 1], w)
                 basis[k + 1] = w / np.linalg.norm(w)
-        theta, ritz = np.linalg.eig(hessenberg[:m, :m])
-        converged = np.abs(hessenberg[m, m - 1] * ritz[m - 1]) <= TAU_RITZ * np.abs(theta)
+        theta, ritz = np.linalg.eig(columns[:m, :m].T)
+        converged = np.abs(columns[m - 1, m] * ritz[m - 1]) <= TAU_RITZ * np.abs(theta)
         yield m, sigma + 1.0 / theta[converged], basis[:m].T @ ritz[:, converged]
         if m >= limit:
             return
         k, m = m, min(m + max(KRYLOV_START, m // 2), limit)
-        basis = np.pad(basis, ((0, m - k), (0, 0)))
-        hessenberg = np.pad(hessenberg, ((0, m - k), (0, m - k)))
+        basis.resize((m + 1, n))  # in place, the new rows zeros: no copy of the old
+        columns.resize((m, limit + 1))
 
 
 def _orthogonalize(basis, w):

@@ -102,6 +102,22 @@ def test_derive_csv_output(capsys, tmp_path):
     assert len(lines) == 202
 
 
+def test_stiffness_warning_is_one_line_on_stderr(capsys):
+    # the run's exit code and report stay those of the run in process
+    argv = ["verify", "--model", "scarf2", "--param", "A=40", "--N", "1000"]
+    src = os.path.dirname(os.path.dirname(pseudoherm.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "pseudoherm.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    with pytest.warns(UserWarning, match="underresolves"):
+        code, out, _ = run(capsys, *argv)
+    assert (done.returncode, done.stdout) == (code, out)
+    assert done.stderr == "warning: max|V+iW|*h^2 = 0.23; the grid underresolves this potential\n"
+    assert ".py:" not in done.stderr
+
+
 def test_verify_constant_w_checks_the_catalog_model(capsys):
     argv = ("verify", "--model", "constant_w", "--param", "W0=2", "--N", "500")
     with pytest.warns(UserWarning, match="underresolves"):
@@ -514,7 +530,7 @@ def test_spectrum_reports_how_the_window_was_solved(capsys):
         _, report = run_json(capsys, *argv, *(["--param", param] if param else []))
         spectrum = report["spectrum"]
         assert spectrum["krylov_dimension"] <= dimension
-        assert spectrum["contour_points"] >= 1023
+        assert spectrum["contour_points"] >= eigen.CONTOUR_POINTS - 1
         if spectrum["certified_count"]:
             assert spectrum["krylov_dimension"] >= spectrum["certified_count"]
             assert len(spectrum["sigma"]) == 2

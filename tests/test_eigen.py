@@ -433,12 +433,11 @@ def test_window_solve_on_a_general_tridiagonal_matrix():
 
 
 # the argument principle's count of the window box against the dense count of
-# the same box; below = 0
+# the same box; below = 0.  The first two aliased to 18 (dense 9) and 174
+# (dense 142) while a segment was halved by its sampled phase turn alone
 MISCOUNT_CASES = [
-    pytest.param("morse", {"xi": 1.0}, Grid(-4.0, 30.0, 400), id="morse-xi1-wide-box",
-                 marks=pytest.mark.xfail(strict=True, reason="count aliases: 18, dense 9")),
-    pytest.param("scarf2", {"A": 4001.0}, 300, id="scarf2-A4001-N300",
-                 marks=pytest.mark.xfail(strict=True, reason="count aliases: 174, dense 142")),
+    pytest.param("morse", {"xi": 1.0}, Grid(-4.0, 30.0, 400), id="morse-xi1-wide-box"),
+    pytest.param("scarf2", {"A": 4001.0}, 300, id="scarf2-A4001-N300"),
     pytest.param("scarf2", {"A": 3.0}, 300, id="scarf2-A3-N300"),
 ]
 
@@ -474,19 +473,19 @@ def test_window_count_of_the_catalog_boxes(name, env, count):
 CATALOG_BOXES = [("scarf2", {"A": 3.0}), ("scarf2", {"A": 4.0}), ("scarf2", {"A": 5.0}),
                  ("periodic", {}), ("morse", {"xi": 0.5}), ("morse", {"xi": 1.0}),
                  ("morse", {"xi": 2.0})]
-# deep ladders, whose first refinement passes take 41 (A=20) and 145 (A=40) points
+# deep ladders, whose continuum next to the box edge refines the most
 DEEP_LADDER_BOXES = [("scarf2", {"A": 20.0}), ("scarf2", {"A": 40.0})]
 
 
 @pytest.mark.filterwarnings("ignore:.*underresolves:UserWarning")
 @pytest.mark.parametrize("n, points", [
-    (1000, [1023, 1023, 1026, 1023, 1023, 1027, 1045, 1082, 1282]),
-    (2000, [1023, 1023, 1026, 1023, 1023, 1027, 1046, 1082, 1284]),
-    (8000, [1023, 1023, 1026, 1023, 1023, 1026, 1047, 1082, 1284]),
+    (1000, [129, 129, 134, 127, 129, 134, 157, 251, 495]),
+    (2000, [129, 129, 134, 127, 129, 133, 157, 251, 501]),
+    (8000, [129, 129, 134, 127, 129, 133, 158, 251, 503]),
 ])
 def test_window_count_refines_the_catalog_contours_as_the_row_loop_did(n, points):
-    # the contours that refining every pass by the row loop of _det_phase
-    # ended with; every refinement pass now runs _blocked_phase
+    # the counts of the 1024-point row-loop first pass, from 128 points
+    # halved by the d/dz log det rule; the final contours had 1023-1284 points
     counts = [2, 3, 3, 8, 0, 1, 2, 11, 21]
     for (name, env), count, want in zip(CATALOG_BOXES + DEEP_LADDER_BOXES, counts, points,
                                         strict=True):
@@ -535,16 +534,51 @@ def test_window_solve_of_one_eigenvalue_of_a_complex_tridiagonal():
     assert_allclose(report.eigenvalues, dense[dense.real < 3.5], rtol=0, atol=1e-12)
 
 
-@pytest.mark.xfail(strict=True, reason="count aliases: 2, where dense finds 3 and 1")
 @pytest.mark.parametrize("below", [1.0001, 0.9999])
 def test_window_solve_of_a_double_eigenvalue_next_to_the_box_edge(below):
     # the double root turns the phase by nearly 2 pi across one segment of
-    # the first pass, which reads as a small turn and is never halved
+    # the first pass, which reads as a small turn, and the trapezoid of
+    # f'/f there cancels too; only the size of f'/f at its ends halves it
     matrix = np.diag([1 + 1j, 1 + 1j, 0, 3])
     dense = np.linalg.eigvals(matrix)
     report = eig(matrix, below=below)
     assert_allclose(report.eigenvalues, np.sort_complex(dense[dense.real < below]),
                     rtol=0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1), place=st.floats(0.0, 1.0))
+def test_window_count_equals_the_dense_count_on_random_tridiagonals(n, seed, place):
+    # below from left of every eigenvalue to right of them all
+    rng = np.random.default_rng(seed)
+    diag, lower, upper = _tridiagonal(rng, n)
+    dense = np.linalg.eigvals(np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1))
+    below = dense.real.min() - 0.5 + place * (np.ptp(dense.real) + 1.0)
+    # an eigenvalue within rounding of below is on the contour, in or out
+    assume(np.min(np.abs(dense.real - below)) > 1e-9 * max(1.0, np.max(np.abs(dense))))
+    box = window_box(diag, lower, upper, below)
+    count = 0 if box is None else window_count(diag, lower * upper, box)[0]
+    assert count == np.count_nonzero(dense.real < below)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    offset=st.floats(1e-4, 1e-3),
+    side=st.sampled_from([-1.0, 1.0]),
+)
+def test_window_count_of_a_double_eigenvalue_next_to_the_box_edge(n, seed, offset, side):
+    # a diagonal whose first two entries repeat an eigenvalue offset from below
+    rng = np.random.default_rng(seed)
+    diag = 2.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    diag[1] = diag[0]
+    below = diag[0].real + side * offset
+    assume(np.min(np.abs(diag[2:].real - below), initial=1.0) > 1e-6)
+    zero = np.zeros(n - 1, dtype=complex)
+    box = window_box(diag, zero, zero, below)
+    count = 0 if box is None else window_count(diag, zero, box)[0]
+    assert count == np.count_nonzero(diag.real < below)
 
 
 def test_window_solve_refuses_a_wider_band():
@@ -616,8 +650,8 @@ def test_window_solve_of_a_reducible_tridiagonal_matches_dense(block, copies, ta
     real_parts = np.sort(dense.real)
     i = split % (n - 1)
     scale = max(1.0, np.max(np.abs(dense)))
-    # a repeated eigenvalue next to the box edge can alias the count, which
-    # refines its contour by the sampled phase turn alone
+    # below halfway between two real parts that (nearly) coincide puts an
+    # eigenvalue on the contour, where no count is defined
     assume(real_parts[i + 1] - real_parts[i] > 1e-2 * scale)
     below = 0.5 * (real_parts[i] + real_parts[i + 1])
     report = eig(matrix, below=below)
@@ -657,6 +691,14 @@ def test_window_solve_that_loses_a_value_is_a_solver_error(monkeypatch):
     _, _, hamiltonian = _catalog_hamiltonian("scarf2", {"A": 4.0}, n=200)
     with pytest.raises(EigenSolverError, match="argument principle counts 3"):
         eig(hamiltonian, below=0.0)
+
+
+def test_window_solve_that_reaches_the_krylov_cap_names_it(monkeypatch):
+    monkeypatch.setattr(eigen, "KRYLOV_CAP", 8)
+    with pytest.raises(EigenSolverError, match=(
+            r"^\d+ converged Ritz values below 20.5, but the argument principle counts 20"
+            r" eigenvalues there; Arnoldi stopped at Krylov dimension 8, the cap min\(N, 8\)$")):
+        eig(np.diag(np.arange(1.0, 31.0)), below=20.5)
 
 
 def test_vanishing_pivot_is_a_solver_error():
@@ -704,15 +746,23 @@ def test_factorization_stops_at_a_vanished_pivot_on_a_rescaling_row():
         eigen._tridiagonal_lu(diag, lower, upper)
 
 
+def _dense_det(diag, lower, upper, z):
+    """(det(M - z), d/dz log det(M - z) = -tr((M - z)^-1)) at each point z."""
+    dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+    shifted = [dense - point * np.eye(diag.size) for point in z]
+    return (np.array([np.linalg.det(m) for m in shifted]),
+            np.array([-np.trace(np.linalg.inv(m)) for m in shifted]))
+
+
 def test_det_phase_passes_a_zero_minor_on_a_rescaling_row():
     # D_17 vanishes at z = 0; the division-free minors go on to det(M - z)
     diag, lower, upper = _zero_minor_on_a_rescaling_row()
-    dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
     z = np.array([0.0, 0.5j])
-    want = np.array([np.linalg.det(dense - point * np.eye(diag.size)) for point in z])
-    phase, log_det = eigen._det_phase(diag, lower * upper, z)
-    assert_allclose(phase, want / np.abs(want), rtol=1e-12)
-    assert_allclose(log_det, np.log(np.abs(want)), rtol=1e-12)
+    det, slope = _dense_det(diag, lower, upper, z)
+    phase, log_det, got_slope = eigen._blocked_phase(diag, lower * upper, z)
+    assert_allclose(phase, det / np.abs(det), rtol=1e-12)
+    assert_allclose(log_det, np.log(np.abs(det)), rtol=1e-12)
+    assert_allclose(got_slope, slope, rtol=1e-10)
 
 
 @settings(max_examples=100, deadline=None)
@@ -729,29 +779,37 @@ def test_blocked_phase_is_the_row_loop_phase(n, seed, gap):
     dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
     near = np.linalg.eigvals(dense)[:4] + gap * np.exp(2j * np.pi * rng.random(min(n, 4)))
     z = np.concatenate((near, 3 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))))
+    # the row loop: det(M - z) is the last of the _minors, row by row
+    for row_loop, _ in eigen._minors(diag, lower * upper, z):
+        pass
     # rounding in det(M - z) grows like 1/gap next to an eigenvalue; measured
     # on 3000 such draws: 1.5e-9 at gap 1e-6, 1.9e-12 at 1e-3, 1.2e-13 at 1
     tol = np.concatenate((np.full(near.size, 1e-11 / gap), np.full(4, 1e-11)))
-    got = eigen._blocked_phase(diag, lower * upper, z)
-    assert np.all(np.abs(got - eigen._det_phase(diag, lower * upper, z)[0]) <= tol)
+    phase, log_det, slope = eigen._blocked_phase(diag, lower * upper, z)
+    assert np.all(np.abs(phase - row_loop / np.abs(row_loop)) <= tol)
+    det, want_slope = _dense_det(diag, lower, upper, z)
+    assert np.all(np.abs(log_det - np.log(np.abs(det))) <= tol)
+    assert np.all(np.abs(slope - want_slope) <= tol * np.abs(want_slope))
 
 
 def test_blocked_phase_passes_a_zero_minor_on_a_block_edge():
-    # n = 22 makes blocks of 5 rows, padded by 3: row 17, where D_17 = 0,
-    # ends the fourth block, and det(M - z) does not vanish
-    diag, lower, upper = _zero_minor_on_a_rescaling_row(22)
-    dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+    # n = 28 makes blocks of 11 rows, padded by 5: row 17, where D_17 = 0,
+    # ends the second block, and det(M - z) does not vanish
+    diag, lower, upper = _zero_minor_on_a_rescaling_row(28)
     z = np.array([0.0, 0.5j])
-    want = np.array([np.linalg.det(dense - point * np.eye(diag.size)) for point in z])
-    assert_allclose(eigen._blocked_phase(diag, lower * upper, z), want / np.abs(want), rtol=1e-12)
+    det, slope = _dense_det(diag, lower, upper, z)
+    phase, log_det, got_slope = eigen._blocked_phase(diag, lower * upper, z)
+    assert_allclose(phase, det / np.abs(det), rtol=1e-12)
+    assert_allclose(log_det, np.log(np.abs(det)), rtol=1e-12)
+    assert_allclose(got_slope, slope, rtol=1e-10)
 
 
 def test_blocked_phase_through_an_eigenvalue_on_a_block_edge_is_a_solver_error():
-    # n = 20 makes blocks of 5 rows: D_15 = 0 at z = 15 ends the third block,
-    # and with no couplings every later minor, det(M - z) too, vanishes
+    # n = 20 makes blocks of 9 rows, padded by 7: D_11 = 0 at z = 11 ends the
+    # second block, and with no couplings every later minor, det(M - z) too, vanishes
     diag = np.arange(1.0, 21.0).astype(complex)
     with pytest.raises(EigenSolverError, match=r"det\(H - z\) vanished on the counting contour"):
-        eigen._blocked_phase(diag, np.zeros(19, dtype=complex), np.array([15.0, 0.5j]))
+        eigen._blocked_phase(diag, np.zeros(19, dtype=complex), np.array([11.0, 0.5j]))
 
 
 def test_contour_through_an_eigenvalue_is_a_solver_error():
