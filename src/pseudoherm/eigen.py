@@ -8,17 +8,17 @@ eig is the one solver entry point, with two paths:
 - eig(op, below=E) returns only the eigenvalues with real part below E of
   a tridiagonal operator, in O(N m) time and memory with no N x N array.
   H = A + iB with A, B Hermitian, so Gershgorin discs of A and B bound a
-  box that holds them all.  One division-free recurrence, _minors, serves
-  both stages: the leading minors D_j = (d_j - z) D_(j-1) -
-  l_(j-1) u_(j-1) D_(j-2) of H - z (Wilkinson, The Algebraic Eigenvalue
-  Problem, 1965).  window_count takes the winding number of the last,
-  det(H - z), around the box edge, which counts the eigenvalues inside
+  box that holds them all.  window_count takes the winding number of
+  det(H - z) around the box edge, which counts the eigenvalues inside
   (argument principle; Delves & Lyness, Math. Comp. 21, 1967), each pass
-  in blocks of rows with d/dz log det(H - z), which guards every segment.
-  The final contour's moment over the count is the mean of
-  the eigenvalues inside, and the shift sigma next to it makes the ratios
-  D_j / D_(j-1) the pivots of the LU of H - sigma.  Shift-invert Arnoldi
-  (ARPACK's design; Lehoucq, Sorensen & Yang, 1998) finds them until its
+  from the leading-minor recurrence D_j = (d_j - z) D_(j-1) -
+  l_(j-1) u_(j-1) D_(j-2) of H - z (Wilkinson, The Algebraic Eigenvalue
+  Problem, 1965) in blocks of rows, with d/dz log det(H - z), which guards
+  every segment.  The final contour's moment over the count is the mean of
+  the eigenvalues inside, and the shift sigma is next to it.  The LU of
+  H - sigma takes its pivots row by row, p_j = d_j - sigma -
+  l_(j-1) u_(j-1) / p_(j-1).  Shift-invert Arnoldi (ARPACK's design;
+  Lehoucq, Sorensen & Yang, 1998) then finds the eigenvalues until its
   converged Ritz values in the box number the certified count; a mismatch
   at the largest Krylov dimension is EigenSolverError.
 
@@ -161,7 +161,7 @@ def _eig_window(bands, below):
     values, vectors, m = np.zeros(0, dtype=complex), np.zeros((n, 0), dtype=complex), 0
     if count:
         factors = _tridiagonal_lu(diag - sigma, lower, upper)
-        for m, values, vectors in _shift_invert_ritz(factors, n, sigma):
+        for m, values, vectors in _shift_invert_ritz(factors, sigma):
             keep = _inside(box, values)
             if np.count_nonzero(keep) == count:
                 values, vectors = values[keep], vectors[:, keep]
@@ -214,27 +214,13 @@ def _inside(box, values):
             & (values.imag > im_lo) & (values.imag < im_hi))
 
 
-def _minors(diag, couplings, z):
-    """Pairs (D_j, D_(j-1)) of leading minors D_j = det(M_(1..j) - z) up to a
-    positive scale, from D_0 = 1, D_(-1) = 0 and D_j = (d_j - z) D_(j-1) -
-    c_(j-1) D_(j-2), c_j = couplings_j = M[j+1, j] M[j, j+1], at a scalar z or
-    an array of them.  Every 16 rows, from the second, both are first divided
-    by |D_(j-1)|."""
-    minor, previous = 1.0, 0.0
-    for j, (d, c) in enumerate(zip(diag.tolist(), [0.0] + couplings.tolist())):
-        if j % 16 == 1:  # keep both far from overflow and underflow
-            scale = abs(minor) + (minor == 0)  # a zero minor keeps its scale
-            minor, previous = minor / scale, previous / scale
-        minor, previous = (d - z) * minor - c * previous, minor
-        yield minor, previous
-
-
 def _blocked_phase(diag, couplings, z):
     """(det / |det|, log|det|, f'/f = d/dz log det) of det(M - z) at each
     point z, in about 2.5 sqrt(N) array steps of O(sqrt(N)) memory per point:
     blocks of ceil(2 sqrt(N)) rows, the first padded ahead with rows d - z = 1
-    and no coupling, advance the two fundamental solutions of the _minors
-    recurrence and their derivatives D'_j = (d_j - z) D'_(j-1) - D_(j-1) -
+    and no coupling, advance the two fundamental solutions of the leading
+    minors' recurrence D_j = (d_j - z) D_(j-1) - c_(j-1) D_(j-2), c =
+    couplings, and their derivatives D'_j = (d_j - z) D'_(j-1) - D_(j-1) -
     c_(j-1) D'_(j-2) a row of every block per step, all divided every 16 rows
     by the solutions' size, whose log is kept; the block transfers [[T, 0],
     [T', T]] then carry (D, D_prev, D', D'_prev) from (1, 0, 0, 0), rescaled alike."""
@@ -327,14 +313,17 @@ def window_count(diag, couplings, box):
 def _tridiagonal_lu(diag, lower, upper):
     """M = LU without pivoting, as the factors of _tridiagonal_solve: the
     doubling coefficients of Ly = b, 1/u and those of Ux = y from the last
-    row up.  The pivots are u_j = D_j / D_(j-1) of the _minors of (diag,
-    lower * upper) at 0, L has multipliers m_j = l_(j-1) / u_(j-1) and U the
-    upper band c_j, so y_j = b_j - m_j y_(j-1), x_j = y_j / u_j - (c_j / u_j) x_(j+1)."""
+    row up.  With l and r the lower and upper bands, the pivots are
+    u_j = d_j - l_(j-1) r_(j-1) / u_(j-1) from u_0 = d_0, L has multipliers
+    m_j = l_(j-1) / u_(j-1) and U the upper band r_j, so y_j = b_j -
+    m_j y_(j-1), x_j = y_j / u_j - (r_j / u_j) x_(j+1).  A pivot with
+    |u_j| <= eps max|d| is refused before the next row divides by it."""
     tiny = np.finfo(float).eps * float(np.max(np.abs(diag)))
-    pivots = []
-    for minor, previous in _minors(diag, lower * upper, 0):
-        pivots.append(minor / previous)
-        if not abs(pivots[-1]) > tiny:  # stop before the next row divides by it
+    pivots, pivot = [], 1.0
+    for d, c in zip(diag.tolist(), [0.0] + (lower * upper).tolist()):
+        pivot = d - c / pivot
+        pivots.append(pivot)
+        if not abs(pivot) > tiny:
             raise EigenSolverError("pivot %d of the shifted factorization vanished" % len(pivots))
     pivots = np.array(pivots, dtype=complex)
     inverse = 1.0 / pivots
@@ -373,45 +362,48 @@ def _tridiagonal_solve(factors, rhs):
     return _scan(backward, (_scan(forward, rhs) * inverse)[::-1])[::-1]
 
 
-def _shift_invert_ritz(factors, n, sigma):
-    """Ritz pairs of (M - sigma)^-1 from Arnoldi with full (twice repeated
-    Gram-Schmidt) reorthogonalization and a fixed-seed start vector.  A step
-    that closes an invariant subspace (see INVARIANT) sets h_(k+1,k) = 0 and
-    goes on from a fresh vector of the same generator, orthogonalized twice.
+def _shift_invert_ritz(factors, sigma):
+    """Ritz pairs of (M - sigma)^-1, M - sigma = LU by factors, from Arnoldi
+    with full (twice repeated Gram-Schmidt) reorthogonalization and a
+    fixed-seed start vector.  A step that closes an invariant subspace (see
+    INVARIANT) sets h_(k+1,k) = 0 and goes on from a fresh vector of the same
+    generator, orthogonalized twice.
 
     Yields the Krylov dimension m with the converged pairs there
     (eigenvalues sigma + 1/theta, unit Ritz vectors as columns), at
     m = KRYLOV_START and then m + max(KRYLOV_START, m // 2) (8, 16, 24, 36,
-    54, ...) up to min(n, KRYLOV_CAP); each extends the previous basis."""
+    54, ...) up to min(n, KRYLOV_CAP); each extends the previous basis,
+    whose rows and (m + 1) x m Hessenberg matrix grow by one copy."""
+    n = factors[1].size
     rng = np.random.default_rng(KRYLOV_SEED)
     start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     limit = min(n, KRYLOV_CAP)
     m = min(KRYLOV_START, limit)
     basis = np.zeros((m + 1, n), dtype=complex)
-    columns = np.zeros((m, limit + 1), dtype=complex)  # column k of the Hessenberg matrix as row k
+    hessenberg = np.zeros((m + 1, m), dtype=complex)
     basis[0] = start / np.linalg.norm(start)
     k = 0
     while True:
         for k in range(k, m):
             w = _tridiagonal_solve(factors, basis[k])
             size = np.linalg.norm(w)
-            columns[k, :k + 1] = _orthogonalize(basis[:k + 1], w)
+            hessenberg[:k + 1, k] = _orthogonalize(basis[:k + 1], w)
             beta = np.linalg.norm(w)
             if beta > INVARIANT * size:
-                columns[k, k + 1] = beta
+                hessenberg[k + 1, k] = beta
                 basis[k + 1] = w / beta
             elif k + 1 < n:  # h_(k+1,k) stays 0; a complete basis needs no next vector
                 w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 _orthogonalize(basis[:k + 1], w)
                 basis[k + 1] = w / np.linalg.norm(w)
-        theta, ritz = np.linalg.eig(columns[:m, :m].T)
-        converged = np.abs(columns[m - 1, m] * ritz[m - 1]) <= TAU_RITZ * np.abs(theta)
+        theta, ritz = np.linalg.eig(hessenberg[:m])
+        converged = np.abs(hessenberg[m, m - 1] * ritz[m - 1]) <= TAU_RITZ * np.abs(theta)
         yield m, sigma + 1.0 / theta[converged], basis[:m].T @ ritz[:, converged]
         if m >= limit:
             return
         k, m = m, min(m + max(KRYLOV_START, m // 2), limit)
-        basis.resize((m + 1, n))  # in place, the new rows zeros: no copy of the old
-        columns.resize((m, limit + 1))
+        basis = np.pad(basis, ((0, m - k), (0, 0)))
+        hessenberg = np.pad(hessenberg, ((0, m - k), (0, m - k)))
 
 
 def _orthogonalize(basis, w):

@@ -1,3 +1,4 @@
+import cProfile
 import dataclasses
 import json
 import os
@@ -553,6 +554,24 @@ def test_spectrum_that_loses_a_value_exits_4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert "argument principle counts 3" in err
+
+
+def test_spectrum_runs_under_trace_and_profile_hooks(capsys):
+    # a debugger, profiler or coverage hook keeps references to the solver's
+    # frames and their arrays; the spectrum must not depend on their absence
+    argv = ("spectrum", "--model", "scarf2", "--param", "A=4", "--N", "1000")
+    code, want, err = run(capsys, *argv)
+    assert code == 0, err
+    for install, installed in ((sys.settrace, sys.gettrace), (sys.setprofile, sys.getprofile)):
+        previous = installed()
+        install(lambda frame, event, arg: None)
+        try:
+            code, out, err = run(capsys, *argv)
+        finally:
+            install(previous)
+        assert (code, out) == (0, want), err
+    code, out, err = cProfile.Profile().runcall(run, capsys, *argv)
+    assert (code, out) == (0, want), err
 
 
 def test_spectrum_peak_memory_stays_banded(capsys):
