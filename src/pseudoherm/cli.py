@@ -37,7 +37,6 @@ from .expressions import EvaluationError, ExprSyntaxError, evaluate, to_source
 from .generator import (
     GeneratorSpec,
     SpecError,
-    _antiderivative_zero,
     derive,
     effective_potential,
     spec_to_config,
@@ -208,7 +207,7 @@ def cmd_derive(cfg):
         xs = np.linspace(grid.a + grid.h, grid.b - grid.h, DERIVE_SAMPLES)
     else:
         xs = np.linspace(grid.a, grid.b, DERIVE_SAMPLES)
-        xs = xs[~_antiderivative_zero(model, xs)]
+        xs = xs[~model.antiderivative_zero(xs)]
     veff = effective_potential(model, xs)
     table = {"x": xs}
     if solvable:

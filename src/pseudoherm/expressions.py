@@ -7,8 +7,9 @@ operations + - * / ^ with constant integer exponents.
 
 Each grammar rule has one source: the tokenizer is one regular expression,
 a function is one FUNCTIONS row that carries both its numpy callable and
-its derivative rule, and the binary precedences in _PREC drive both the
-parser and the printer.
+its derivative rule, and a binary operator is one BINARY row that carries
+its precedence, its value and its derivative rule.  The precedences drive
+both the parser and the printer.
 """
 
 import re
@@ -27,8 +28,16 @@ FUNCTIONS = {
     "sqrt": (np.sqrt, lambda u: _div(Const(1.0), _mul(Const(2.0), Call("sqrt", u)))),
 }
 
-# binary operator -> precedence; higher binds tighter, all associate left
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+# operator -> (precedence: higher binds tighter, all associate left;
+#   value of (left, right) at x; derivative rule (u, v, u', v') -> tree)
+BINARY = {
+    "+": (1, lambda a, b, x: a + b, lambda u, v, du, dv: _add(du, dv)),
+    "-": (1, lambda a, b, x: a - b, lambda u, v, du, dv: _sub(du, dv)),
+    "*": (2, lambda a, b, x: a * b, lambda u, v, du, dv: _add(_mul(du, v), _mul(u, dv))),
+    "/": (2, lambda a, b, x: a / _divisor(b, x),
+          lambda u, v, du, dv: _div(_sub(_mul(du, v), _mul(u, dv)), _pow(v, 2))),
+}
+_PREC = {op: row[0] for op, row in BINARY.items()}
 
 
 class ExprSyntaxError(ValueError):
@@ -121,7 +130,7 @@ def _tokenize(source):
 # ---------------------------------------------------------------------------
 # recursive-descent parser
 #
-# expr   := unary (binop unary)*   binop precedence from _PREC, left-assoc
+# expr   := unary (binop unary)*   binop precedence from BINARY, left-assoc
 # unary  := '-' unary | power
 # power  := atom ('^' ['-'] integer)?
 # atom   := number | name | name '(' expr ')' | '(' expr ')'
@@ -257,16 +266,8 @@ def _eval(expr, x, env):
         if expr.fn == "sqrt":
             _refuse(arg < 0, "square root of negative value", x)
         return FUNCTIONS[expr.fn][0](arg)
-    if isinstance(expr, BinOp):
-        left = _eval(expr.left, x, env)
-        right = _eval(expr.right, x, env)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        return left / _divisor(right, x)
+    if isinstance(expr, BinOp):  # left is evaluated first
+        return BINARY[expr.op][1](_eval(expr.left, x, env), _eval(expr.right, x, env), x)
     if isinstance(expr, Pow):
         base = _eval(expr.base, x, env)
         if expr.exponent < 0:
@@ -276,18 +277,13 @@ def _eval(expr, x, env):
 
 
 def free_parameters(expr):
-    """Names of all parameters appearing in the tree."""
+    """Names of all parameters appearing in the tree; None has none."""
     if isinstance(expr, Param):
         return {expr.name}
-    if isinstance(expr, Neg):
-        return free_parameters(expr.arg)
-    if isinstance(expr, Call):
-        return free_parameters(expr.arg)
-    if isinstance(expr, BinOp):
-        return free_parameters(expr.left) | free_parameters(expr.right)
-    if isinstance(expr, Pow):
-        return free_parameters(expr.base)
-    return set()
+    names = set()
+    for child in getattr(expr, "__dict__", {}).values():  # a node's fields; a leaf value has none
+        names |= free_parameters(child)
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +378,7 @@ def differentiate(expr):
         return _mul(FUNCTIONS[expr.fn][1](expr.arg), differentiate(expr.arg))
     if isinstance(expr, BinOp):
         dl = differentiate(expr.left)
-        dr = differentiate(expr.right)
-        if expr.op == "+":
-            return _add(dl, dr)
-        if expr.op == "-":
-            return _sub(dl, dr)
-        if expr.op == "*":
-            return _add(_mul(dl, expr.right), _mul(expr.left, dr))
-        numer = _sub(_mul(dl, expr.right), _mul(expr.left, dr))
-        return _div(numer, _pow(expr.right, 2))
+        return BINARY[expr.op][2](expr.left, expr.right, dl, differentiate(expr.right))
     if isinstance(expr, Pow):
         if abs(expr.exponent - 1) >= 2**53:  # parse would refuse the printed result
             raise EvaluationError(

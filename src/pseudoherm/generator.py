@@ -21,9 +21,11 @@ summed outwards from 0, and a gap whose estimate exceeds QUADRATURE_TOL is
 a QuadratureError, a domain error.
 
 G, Q and V all come from three samples, I, W and W', so a derived model
-takes each of them once per point set and reuses them: G, Q, V and W on
+takes one sample set per point set, the three together: G, Q, V and W on
 the same points cost one quadrature pass and one evaluation each of W and
-W'.  The model keeps only the last point set.
+W'.  The model keeps only the last point set.  Where I counts as zero, so
+that Q and V diverge, is one model method, antiderivative_zero, which Q
+and the CLI's derive both call.
 """
 
 from dataclasses import dataclass, field
@@ -111,6 +113,9 @@ class GeneratorSpec:
         unbound = names - set(self.env)
         if unbound:
             raise SpecError("unbound parameter '%s'" % "', '".join(sorted(unbound)))
+        unread = set(self.env) - names
+        if unread:
+            raise SpecError("unread parameter '%s'" % "', '".join(sorted(unread)))
         if self.antiderivative is not None:
             self._check_antiderivative()
 
@@ -190,55 +195,55 @@ class DerivedModel:
     """The pipeline of one GeneratorSpec, returned by derive().  G, Gp, Q, V
     and W accept scalar or ndarray x and return new values each call.
 
-    Each point set is sampled once and reused: I, W and W' are each taken
-    at most once per point set, when first needed.  The model keeps the
-    last point set (a copy of x, compared by content, so an array changed
-    in place counts as new points) with the samples taken on it; a new
-    point set replaces it.
+    Each point set is sampled once: the first call on new points takes I, W
+    and W' there, in that order, and the model keeps the three with a copy
+    of the points (compared by content, so an array changed in place counts
+    as new points) until a call on other points replaces them.
     """
 
     def __init__(self, spec):
         self.spec = spec
-        env = spec.env
-        w_prime = differentiate(spec.W)
-        # G' = -W/2, taken from the closed form's own derivative when there is one
-        closed = spec.antiderivative
-        self._gp = spec.W if closed is None else differentiate(closed)
-        self._samplers = {
-            "I": lambda x: antiderivative(spec, x),
-            "W": lambda x: evaluate(spec.W, x, env),
-            "Wp": lambda x: evaluate(w_prime, x, env),
-        }
-        self._points = None
-        self._samples = {}
+        self._w_prime = differentiate(spec.W)
+        self._points = self._samples = None
 
-    def _sample(self, name, x):
-        """I, W or W' at x, taken once per point set."""
+    def _sampled(self, x):
+        """(I, W, W') at x, taken once per point set."""
         points = (np.shape(x), np.asarray(x, dtype=float).tobytes())
         if points != self._points:
-            self._points, self._samples = points, {}
-        if name not in self._samples:
-            self._samples[name] = self._samplers[name](x)
-        return self._samples[name]
+            i, env = antiderivative(self.spec, x), self.spec.env
+            self._samples = i, evaluate(self.spec.W, x, env), evaluate(self._w_prime, x, env)
+            self._points = points
+        return self._samples
+
+    def antiderivative_zero(self, x):
+        """Where I = int W counts as zero at x, so that Q and V diverge:
+        |I| <= ANTIDERIVATIVE_ZERO_TOL max(|W|, |W'|).  Relative to W and W',
+        so a tail where I, W and W' decay together is not a zero, while a
+        double zero of I (W = 0, W' != 0) still is."""
+        i, w, wp = self._sampled(x)
+        return np.abs(i) <= ANTIDERIVATIVE_ZERO_TOL * np.maximum(np.abs(w), np.abs(wp))
 
     def G(self, x):
-        return -0.5 * self._sample("I", x)
+        return -0.5 * self._sampled(x)[0]
 
     def Gp(self, x):
-        return -0.5 * evaluate(self._gp, x, self.spec.env)
+        # G' = -W/2, taken from the closed form's own derivative when there is one
+        closed = self.spec.antiderivative
+        gp = self.spec.W if closed is None else differentiate(closed)
+        return -0.5 * evaluate(gp, x, self.spec.env)
 
     def W(self, x):
-        w = self._sample("W", x)
+        w = self._sampled(x)[1]
         return w.copy() if isinstance(w, np.ndarray) else w
 
     def Q(self, x):
-        bad = _antiderivative_zero(self, x)
+        bad = self.antiderivative_zero(x)
         if np.any(bad):
             raise GZeroError(
                 "antiderivative of W vanishes at x = %g; V and Q diverge there"
                 % _first_offender(x, bad)
             )
-        i, w, wp = (self._sample(name, x) for name in ("I", "W", "Wp"))
+        i, w, wp = self._sampled(x)
         half = w / (2.0 * i)
         q = wp / (2.0 * i) - half**2
         # without alpha the term is absent, not 0 / I^2, which is NaN where
@@ -247,15 +252,6 @@ class DerivedModel:
 
     def V(self, x):
         return self.Q(x) - self.G(x) ** 2 + self.spec.beta
-
-
-def _antiderivative_zero(model, x):
-    """Where I = int W counts as zero at x, so that Q and V diverge:
-    |I| <= ANTIDERIVATIVE_ZERO_TOL max(|W|, |W'|).  Relative to W and W', so
-    a tail where I, W and W' decay together is not a zero, while a double
-    zero of I (W = 0, W' != 0) still is."""
-    i, w, wp = (model._sample(name, x) for name in ("I", "W", "Wp"))
-    return np.abs(i) <= ANTIDERIVATIVE_ZERO_TOL * np.maximum(np.abs(w), np.abs(wp))
 
 
 def derive(spec):

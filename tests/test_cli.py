@@ -16,7 +16,7 @@ from pseudoherm import eigen, generator
 from pseudoherm.cli import main
 from pseudoherm.operators import Grid, build_eta, build_hamiltonian, matrix_to_csv
 from pseudoherm.catalog import get
-from pseudoherm.expressions import parse
+from pseudoherm.expressions import differentiate, parse
 from pseudoherm.generator import derive
 
 
@@ -168,6 +168,16 @@ def test_derive_inline_unbound_parameter_is_a_spec_error(capsys):
     assert "unbound parameter 'A'" in err
 
 
+def test_inline_sweep_of_an_unread_parameter_is_a_spec_error(capsys):
+    # W reads no Z, so the sweep would print the same spectrum twice
+    code, out, err = run(
+        capsys, "spectrum", "--W=-xi*exp(-x)", "--param", "xi=1", "--sweep", "Z=1,2",
+        "--a", "0.5", "--b", "14", "--N", "20",
+    )
+    assert (code, out) == (2, "")
+    assert "unread parameter 'Z'" in err
+
+
 def test_derive_constant_w(capsys):
     code, report = run_json(
         capsys,
@@ -307,9 +317,10 @@ INLINE_MORSE = ["--W=-xi*exp(-x)", "--param", "xi=1", "--a", "0.5", "--b", "14"]
 )
 def test_inline_op_samples_its_points_once(capsys, monkeypatch, argv):
     # G, Q, V and W of one op share one quadrature pass and one evaluation
-    # of W on the sample points
+    # each of W and W' on the sample points
     w = parse("-xi*exp(-x)")
-    calls = {"quadrature": 0, "W": 0}
+    w_prime = differentiate(w)
+    calls = {"quadrature": 0, "W": 0, "Wp": 0}
     quadrature, evaluate = generator._numeric_antiderivative, generator.evaluate
 
     def counted_quadrature(spec, x):
@@ -319,13 +330,14 @@ def test_inline_op_samples_its_points_once(capsys, monkeypatch, argv):
     def counted_evaluate(expr, x, env=None):
         # the quadrature samples W on a 2-D array of nodes
         calls["W"] += expr == w and np.ndim(x) == 1
+        calls["Wp"] += expr == w_prime
         return evaluate(expr, x, env)
 
     monkeypatch.setattr(generator, "_numeric_antiderivative", counted_quadrature)
     monkeypatch.setattr(generator, "evaluate", counted_evaluate)
     code, _, err = run(capsys, *argv, *INLINE_MORSE)
     assert code in (0, 1), err
-    assert calls == {"quadrature": 1, "W": 1}
+    assert calls == {"quadrature": 1, "W": 1, "Wp": 1}
 
 
 def test_cli_import_loads_no_scipy():

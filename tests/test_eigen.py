@@ -483,9 +483,9 @@ DEEP_LADDER_BOXES = [("scarf2", {"A": 20.0}), ("scarf2", {"A": 40.0})]
     (2000, [129, 129, 134, 127, 129, 133, 157, 251, 501]),
     (8000, [129, 129, 134, 127, 129, 133, 158, 251, 503]),
 ])
-def test_window_count_refines_the_catalog_contours_as_the_row_loop_did(n, points):
-    # the counts of the 1024-point row-loop first pass, from 128 points
-    # halved by the d/dz log det rule; the final contours had 1023-1284 points
+def test_window_count_refines_the_catalog_contours_from_128_points(n, points):
+    # the certified count in each box, and the points of its final contour,
+    # refined from 128 by the d/dz log det rule
     counts = [2, 3, 3, 8, 0, 1, 2, 11, 21]
     for (name, env), count, want in zip(CATALOG_BOXES + DEEP_LADDER_BOXES, counts, points,
                                         strict=True):
@@ -729,7 +729,7 @@ def test_factorization_stops_at_the_first_vanished_pivot():
         eigen._tridiagonal_lu(diag, lower, upper)
 
 
-def _zero_minor_on_a_rescaling_row(n=20):
+def _zero_minor_on_row_17(n=20):
     """Bands whose leading minors are exact: D_j = j + 1 for j <= 16 (d_j = 2,
     couplings 1), then D_17 = 16 * 17 - 17 * 16 = 0 on row 17, so that
     the pivot u_17 = D_17 / D_16 vanishes, while det(M) does not."""
@@ -740,8 +740,8 @@ def _zero_minor_on_a_rescaling_row(n=20):
     return diag, lower, upper
 
 
-def test_factorization_stops_at_a_vanished_pivot_on_a_rescaling_row():
-    diag, lower, upper = _zero_minor_on_a_rescaling_row()
+def test_factorization_stops_at_a_vanished_pivot_on_row_17():
+    diag, lower, upper = _zero_minor_on_row_17()
     with pytest.raises(EigenSolverError, match="pivot 17 of the shifted factorization vanished"):
         eigen._tridiagonal_lu(diag, lower, upper)
 
@@ -754,9 +754,10 @@ def _dense_det(diag, lower, upper, z):
             np.array([-np.trace(np.linalg.inv(m)) for m in shifted]))
 
 
-def test_det_phase_passes_a_zero_minor_on_a_rescaling_row():
-    # D_17 vanishes at z = 0; the division-free minors go on to det(M - z)
-    diag, lower, upper = _zero_minor_on_a_rescaling_row()
+def test_blocked_phase_passes_a_zero_minor_inside_a_block():
+    # D_17 vanishes at z = 0, inside the third block of 9 rows; the blocked
+    # phase goes on to det(M - z)
+    diag, lower, upper = _zero_minor_on_row_17()
     z = np.array([0.0, 0.5j])
     det, slope = _dense_det(diag, lower, upper, z)
     phase, log_det, got_slope = eigen._blocked_phase(diag, lower * upper, z)
@@ -771,7 +772,7 @@ def test_det_phase_passes_a_zero_minor_on_a_rescaling_row():
     seed=st.integers(0, 2**32 - 1),
     gap=st.sampled_from([1e-6, 1e-3, 1.0]),
 )
-def test_blocked_phase_is_the_row_loop_phase(n, seed, gap):
+def test_blocked_phase_is_the_dense_determinant_phase(n, seed, gap):
     # random complex tridiagonals of every length, most not a multiple of
     # the block length, at points a gap from eigenvalues and at random ones
     rng = np.random.default_rng(seed)
@@ -792,7 +793,7 @@ def test_blocked_phase_is_the_row_loop_phase(n, seed, gap):
 def test_blocked_phase_passes_a_zero_minor_on_a_block_edge():
     # n = 28 makes blocks of 11 rows, padded by 5: row 17, where D_17 = 0,
     # ends the second block, and det(M - z) does not vanish
-    diag, lower, upper = _zero_minor_on_a_rescaling_row(28)
+    diag, lower, upper = _zero_minor_on_row_17(28)
     z = np.array([0.0, 0.5j])
     det, slope = _dense_det(diag, lower, upper, z)
     phase, log_det, got_slope = eigen._blocked_phase(diag, lower * upper, z)
@@ -811,7 +812,7 @@ def test_blocked_phase_through_an_eigenvalue_on_a_block_edge_is_a_solver_error()
 
 def test_contour_through_an_eigenvalue_is_a_solver_error():
     # the box's first corner is the eigenvalue 17 = d_17, so D_17 vanishes
-    # there on a rescaling row, and with it det(M - z)
+    # there, and with it det(M - z)
     diag = np.arange(1.0, 21.0).astype(complex)
     with pytest.raises(EigenSolverError, match=r"det\(H - z\) vanished on the counting contour"):
         window_count(diag, np.zeros(19, dtype=complex), (17.0, 30.0, 0.0, 1.0))
@@ -891,7 +892,7 @@ def test_tridiagonal_solve_matches_dense_on_dominant_matrices(n, seed):
 
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
-def test_minors_are_the_leading_minors(n, seed):
+def test_lu_pivots_are_ratios_of_leading_minors(n, seed):
     # banded against dense: the LU pivots are det(M_(1..j)) / det(M_(1..j-1));
     # a diagonally dominant M keeps every minor away from zero
     rng = np.random.default_rng(seed)

@@ -1,6 +1,8 @@
+from dataclasses import is_dataclass
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -161,6 +163,40 @@ def test_printed_source_is_a_fixed_point_of_parse(tree):
         reparsed = parse(source)
         assert to_source(reparsed) == source
         assert _outcome(reparsed, xs, env) == _outcome(candidate, xs, env)
+
+
+def _subtrees(tree):
+    yield tree
+    for child in vars(tree).values():
+        if is_dataclass(child):
+            yield from _subtrees(child)
+
+
+@settings(max_examples=500, deadline=None)
+@given(expression_trees(), st.floats(-2.0, 2.0))
+def test_derivative_matches_fourth_order_differences(tree, x):
+    """d/dx agrees with the fourth-order central difference of the values
+    wherever the tree, each of its subtrees and its derivative stay finite
+    and moderate on the stencil, and the curvature is not steep on the scale
+    of the step: the derivative's second differences stay within the
+    tolerance (a kink, as of sqrt(x*x) at 0, has no central difference to
+    match) and the differences at steps h and 2h agree.  A large subtree
+    value would round the steps away (x + cosh(18))."""
+    env, h = {"A": 1.5, "xi": -0.7}, 1e-4
+    xs = x + h * np.arange(-4.0, 5.0)
+    try:
+        with np.errstate(all="ignore"):
+            size = max(np.max(np.abs(evaluate(sub, xs, env))) for sub in _subtrees(tree))
+            f, slopes = evaluate(tree, xs, env), evaluate(differentiate(tree), xs, env)
+    except EvaluationError:
+        reject()
+    assume(size < 1e4 and np.max(np.abs(slopes)) < 1e4)
+    scale, slope = max(1.0, np.max(np.abs(f))), slopes[4]
+    tol = 1e-6 * (scale + abs(slope)) + 1e-12 * scale / h
+    fd, fd2 = ((f[4 - 2 * k] - 8.0 * f[4 - k] + 8.0 * f[4 + k] - f[4 + 2 * k]) / (12.0 * k * h)
+               for k in (1, 2))
+    assume(np.max(np.abs(np.diff(slopes, 2))) <= tol and abs(fd - fd2) <= tol)
+    assert abs(slope - fd) <= tol
 
 
 def test_derivative_exponent_stays_parseable():

@@ -175,6 +175,14 @@ def test_unbound_parameter_is_a_spec_error():
         GeneratorSpec(W="-A*x", antiderivative="-B*x^2/2", env={"A": 1.0})
 
 
+def test_unread_parameter_is_a_spec_error():
+    with pytest.raises(SpecError, match="unread parameter 'B', 'Z'"):
+        GeneratorSpec(W="-A*x", env={"A": 1.0, "B": 2.0, "Z": 3.0})
+    # a parameter that only the antiderivative reads is read
+    spec = GeneratorSpec(W="2*x", antiderivative="x^2 + C", env={"C": 1.0})
+    assert spec.env == {"C": 1.0}
+
+
 def test_antiderivative_validation_rejects_mismatch():
     with pytest.raises(SpecError, match="antiderivative mismatch"):
         GeneratorSpec(W="sinh(x)", antiderivative="2*cosh(x)")
