@@ -429,6 +429,9 @@ def main(argv=None):
     except EvaluationError as exc:
         print("evaluation error: %s" % exc, file=sys.stderr)
         return EXIT_DOMAIN
+    except MemoryError as exc:  # a grid too large for this machine's memory
+        print("specification error: out of memory: %s" % exc, file=sys.stderr)
+        return EXIT_SPEC
     finally:
         warnings.formatwarning = default
 

@@ -10,11 +10,12 @@ eig is the one solver entry point, with two paths:
   H = A + iB with A, B Hermitian, so Gershgorin discs of A and B bound a
   box that holds them all.  window_count takes the winding number of
   det(H - z) around the box edge, which counts the eigenvalues inside
-  (argument principle; Delves & Lyness, Math. Comp. 21, 1967), each pass
-  from the leading-minor recurrence D_j = (d_j - z) D_(j-1) -
-  l_(j-1) u_(j-1) D_(j-2) of H - z (Wilkinson, The Algebraic Eigenvalue
-  Problem, 1965) in blocks of rows, with d/dz log det(H - z), which guards
-  every segment.  The final contour's moment over the count is the mean of
+  (argument principle; Delves & Lyness, Math. Comp. 21, 1967), first at
+  16 points on each side; each pass takes the leading-minor recurrence
+  D_j = (d_j - z) D_(j-1) - l_(j-1) u_(j-1) D_(j-2) of H - z (Wilkinson,
+  The Algebraic Eigenvalue Problem, 1965) in blocks of rows, with
+  d/dz log det(H - z), which guards every segment and places every further
+  point.  The final contour's moment over the count is the mean of
   the eigenvalues inside, and the shift sigma is next to it.  The LU of
   H - sigma takes its pivots row by row, p_j = d_j - sigma -
   l_(j-1) u_(j-1) / p_(j-1).  Shift-invert Arnoldi (ARPACK's design;
@@ -54,7 +55,7 @@ INNER_FRACTION = 0.8
 # BOX_PAD times its larger side, so that no eigenvalue lies near them; its
 # right edge is the window's `below`, or nearer, past every eigenvalue.
 BOX_PAD = 0.05
-CONTOUR_POINTS = 128
+SIDE_POINTS = 16  # each side's points on the count's first contour
 CONTOUR_MAX_POINTS = 1 << 16
 SHIFT_OFFSET = 1e-4 * (1 + 1j)  # sigma's step off the eigenvalue mean, per box side
 # A Ritz pair (theta, y) of (H - sigma)^-1 has converged when the Arnoldi
@@ -258,7 +259,12 @@ def _blocked_phase(diag, couplings, z):
         pair /= scale
         log_size += np.log(scale)
     size = np.abs(pair[0])
-    if not np.all((size > 0) & np.isfinite(size)):
+    if not np.all(np.isfinite(size)):
+        raise EigenSolverError(
+            "det(H - z) overflowed on the counting contour: the diagonal reaches |d| = %.3g,"
+            " so 16 rows between rescalings exceed the floating-point range; the grid is"
+            " too stiff for its potential" % np.max(np.abs(diag)))
+    if not np.all(size > 0):
         raise EigenSolverError("det(H - z) vanished on the counting contour")
     # each pad row took D' -= D, though it does not depend on z: f'/f lacks pad
     return pair[0] / size, log_size + np.log(size), pair[2] / pair[0] + pad
@@ -270,8 +276,9 @@ def window_count(diag, couplings, box):
     edge (argument principle), the number of points of its final contour,
     and the window solve's shift (None for count 0).
 
-    The edge starts as CONTOUR_POINTS points spread over the four sides by
-    length, and every pass runs _blocked_phase.  A segment is halved while
+    The edge starts as SIDE_POINTS equally spaced points on each side, and
+    every pass runs _blocked_phase; the guard alone places the rest, however
+    long a side is next to the others.  A segment is halved while
     the phase turn sampled at its ends, read in (-pi, pi], and the trapezoid
     value of the integral of Im(f'/f dz) differ by more than pi/2, or while
     |f'/f dz| at either end exceeds pi, as next to a double root, whose two
@@ -282,11 +289,9 @@ def window_count(diag, couplings, box):
     re_lo, re_hi, im_lo, im_hi = box
     corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
                complex(re_hi, im_hi), complex(re_lo, im_hi)]
-    perimeter = 2.0 * ((re_hi - re_lo) + (im_hi - im_lo))
-    sides = []
-    for start, end in zip(corners, corners[1:] + corners[:1]):
-        k = max(16, int(CONTOUR_POINTS * abs(end - start) / perimeter))
-        sides.append(start + (end - start) * np.arange(k) / k)
+    steps = np.arange(SIDE_POINTS) / SIDE_POINTS
+    sides = [start + (end - start) * steps
+             for start, end in zip(corners, corners[1:] + corners[:1])]
     z = np.concatenate(sides + [np.array([corners[0]])])
     samples = np.array([z, *_blocked_phase(diag, couplings, z)])
     while True:

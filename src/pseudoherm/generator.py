@@ -17,8 +17,10 @@ into equal panels of at most QUADRATURE_PANEL (wider on a span longer than
 QUADRATURE_MAX_PANELS of them) and samples W at the 21 nodes of each: the
 Kronrod rule gives the panel's value, and its difference to the embedded
 10-point Gauss rule the error estimate (QUADPACK's qk21).  The values are
-summed outwards from 0, and a gap whose estimate exceeds QUADRATURE_TOL is
-a QuadratureError, a domain error.
+summed outwards from 0.  A gap whose estimate exceeds QUADRATURE_TOL, as
+next to a root singularity at 0, has its failing panels halved recursively,
+each with half the tolerance, and one that still fails after
+QUADRATURE_DEPTH halvings is a QuadratureError, a domain error.
 
 G, Q and V all come from three samples, I, W and W', so a derived model
 takes one sample set per point set, the three together: G, Q, V and W on
@@ -47,6 +49,7 @@ ANTIDERIVATIVE_ZERO_TOL = 1e-12
 QUADRATURE_TOL = 1e-10
 QUADRATURE_PANEL = 0.05
 QUADRATURE_MAX_PANELS = 2**14
+QUADRATURE_DEPTH = 60  # halvings of a failing panel, which a gap next to 0 may need
 # QUADPACK's qk21 (Piessens et al., 1983): the 21-point Gauss-Kronrod rule
 # on [-1, 1] (Kronrod, 1965) with its embedded 10-point Gauss rule, as rows
 # (node, Kronrod weight, Gauss weight) of the nonnegative nodes from 1 down to
@@ -177,18 +180,45 @@ def _numeric_antiderivative(spec, x):
     errors = np.add.reduceat(np.abs(kronrod - gauss), first)
     # negated, so that a NaN estimate (W overflowing on a node) also fails
     bad = ~(errors <= QUADRATURE_TOL * np.maximum(1.0, np.abs(values)))
-    if np.any(bad):
-        i = np.argmax(bad)
-        raise QuadratureError(
-            "quadrature error %.3g over [%g, %g] exceeds %g"
-            % (errors[i], stops[i], stops[i + 1], QUADRATURE_TOL)
-        )
+    for i in np.flatnonzero(bad):
+        values[i], errors[i] = _refined_gap(spec, stops[i], stops[i + 1], panels[i],
+                                            QUADRATURE_TOL * max(1.0, abs(values[i])))
+        if not errors[i] <= QUADRATURE_TOL * max(1.0, abs(values[i])):
+            raise QuadratureError(
+                "quadrature error %.3g over [%g, %g] exceeds %g"
+                % (errors[i], stops[i], stops[i + 1], QUADRATURE_TOL)
+            )
     # accumulated outwards from x = 0 on each side, so no value carries the
     # rounding of a detour through the far end of the other side
     below, above = np.cumsum(values[:zero][::-1])[::-1], np.cumsum(values[zero:])
     out = np.empty_like(values)
     out[order] = np.concatenate((-below, above))
     return float(out[0]) if scalar else out.reshape(np.shape(x))
+
+
+def _refined_gap(spec, lo, hi, panels, tol):
+    """(value, error) of the integral of W over a gap [lo, hi] that failed
+    as `panels` equal panels: the qk21 rule on those panels, each halved,
+    recursively, while its error exceeds its share of tol, which halves with
+    it.  Refinement stops after QUADRATURE_DEPTH halvings, or once the next
+    depth would take more than QUADRATURE_MAX_PANELS panels; the panels that
+    still fail then add their errors (NaN for a W that overflows there)."""
+    width = (hi - lo) / panels
+    starts = lo + width * np.arange(panels)
+    tol /= panels
+    value = error = 0.0
+    for depth in range(QUADRATURE_DEPTH + 1):
+        half = 0.5 * width
+        nodes = starts[:, None] + half * (1 + KRONROD_NODES)
+        kronrod, gauss = (half * (evaluate(spec.W, nodes, spec.env) @ KRONROD_WEIGHTS)).T
+        misses = np.abs(kronrod - gauss)
+        fail = ~(misses <= tol)
+        value += np.sum(kronrod[~fail])
+        error += np.sum(misses[~fail])
+        if not fail.any() or depth == QUADRATURE_DEPTH or 2 * fail.sum() > QUADRATURE_MAX_PANELS:
+            return value + np.sum(kronrod[fail]), error + np.sum(misses[fail])
+        width, tol = half, 0.5 * tol
+        starts = np.concatenate((starts[fail], starts[fail] + width))
 
 
 class DerivedModel:

@@ -46,6 +46,11 @@ class Grid:
             raise SpecError("grid needs a < b, got [%g, %g]" % (self.a, self.b))
         if self.n < 3:
             raise SpecError("grid needs at least 3 interior points")
+        # a complex band of the grid takes 16 bytes a point, and numpy sizes
+        # an array by a signed machine integer
+        if 16 * int(self.n) > np.iinfo(np.intp).max:
+            raise SpecError("grid of %d interior points is too large: one complex band"
+                            " would take %d bytes" % (self.n, 16 * int(self.n)))
 
     @property
     def h(self):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pseudoherm
-from pseudoherm import eigen, generator
+from pseudoherm import eigen, generator, operators
 from pseudoherm.cli import main
 from pseudoherm.operators import Grid, build_eta, build_hamiltonian, matrix_to_csv
 from pseudoherm.catalog import get
@@ -65,6 +65,30 @@ def test_derive_inline_morse(capsys):
     x = np.asarray(columns["x"])
     expected = -0.25 * np.exp(-2.0 * x)
     np.testing.assert_allclose(columns["V"], expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("W, b, integral", [
+    ("sqrt(x)", 4.0, lambda x: 2.0 / 3.0 * x**1.5),
+    ("sqrt(x)*exp(-x)", 14.0, None),
+], ids=["sqrt", "sqrt_exp"])
+def test_derive_refines_the_quadrature_gap_next_to_a_root_singularity(capsys, W, b, integral):
+    # sqrt(x) is not smooth at 0, so the gap [0, a + h] fails as equal
+    # panels; only its failing panels are halved, until each passes
+    code, report = run_json(capsys, "derive", "--W=" + W, "--a", "0.5", "--b", str(b))
+    assert code == 0
+    columns = report["columns"]
+    assert np.all(np.isfinite(columns["G"]))
+    if integral is not None:  # G = -I/2
+        x = np.asarray(columns["x"])
+        np.testing.assert_allclose(columns["G"], -0.5 * integral(x), rtol=0, atol=1e-10)
+
+
+def test_derive_of_a_divergent_integral_stays_a_quadrature_error(capsys):
+    # int_0 1/x diverges: refinement reaches its bound and the gap still fails
+    code, out, err = run(capsys, "derive", "--W=1/x", "--a", "0.5", "--b", "4")
+    assert (code, out) == (3, "")
+    assert err.startswith("evaluation error: quadrature error")
+    assert "over [0, 0.503497] exceeds 1e-10" in err
 
 
 def test_derive_zero_generator_exits_domain_error(capsys):
@@ -543,7 +567,7 @@ def test_spectrum_reports_how_the_window_was_solved(capsys):
         _, report = run_json(capsys, *argv, *(["--param", param] if param else []))
         spectrum = report["spectrum"]
         assert spectrum["krylov_dimension"] <= dimension
-        assert spectrum["contour_points"] >= eigen.CONTOUR_POINTS - 1
+        assert spectrum["contour_points"] >= 4 * eigen.SIDE_POINTS
         if spectrum["certified_count"]:
             assert spectrum["krylov_dimension"] >= spectrum["certified_count"]
             assert len(spectrum["sigma"]) == 2
@@ -566,6 +590,18 @@ def test_spectrum_that_loses_a_value_exits_4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert "argument principle counts 3" in err
+
+
+@pytest.mark.filterwarnings("ignore:.*underresolves:UserWarning")
+def test_spectrum_whose_determinant_overflows_says_so(capsys):
+    # max|d| = 8.1e33 overflows 16 rows between rescalings; dense finds 140
+    # eigenvalues in this box, so det(H - z) does not vanish on its edge
+    code, out, err = run(capsys, "spectrum", "--model", "morse", "--param", "xi=1",
+                         "--a", "-40", "--b", "14", "--N", "200")
+    assert (code, out) == (4, "")
+    assert "eigensolver error: det(H - z) overflowed on the counting contour" in err
+    assert "|d| = 8.09e+33" in err and "too stiff" in err
+    assert "vanished" not in err
 
 
 def test_spectrum_runs_under_trace_and_profile_hooks(capsys):
@@ -893,6 +929,28 @@ def test_verify_rejects_an_infinite_grid_end(capsys):
     assert code == 2
     assert out == ""
     assert "finite ends" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+def test_grid_too_large_to_address_is_a_spec_error(capsys, command):
+    # 16 bytes a point of 2^62 points passes numpy's signed size; the Grid
+    # refuses it by arithmetic, before anything is allocated
+    code, out, err = run(
+        capsys, command, "--model", "scarf2", "--param", "A=4", "--N", str(2**62)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("specification error: grid of %d interior points is too large" % 2**62)
+    assert err.count("\n") == 1
+
+
+def test_grid_too_large_for_memory_is_a_spec_error(capsys, monkeypatch):
+    def out_of_memory(model, grid):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(operators, "build_hamiltonian", out_of_memory)
+    code, out, err = run(capsys, "spectrum", "--model", "scarf2", "--param", "A=4")
+    assert (code, out) == (2, "")
+    assert err == "specification error: out of memory: Unable to allocate 745. GiB for an array\n"
 
 
 @pytest.mark.parametrize(

@@ -479,13 +479,13 @@ DEEP_LADDER_BOXES = [("scarf2", {"A": 20.0}), ("scarf2", {"A": 40.0})]
 
 @pytest.mark.filterwarnings("ignore:.*underresolves:UserWarning")
 @pytest.mark.parametrize("n, points", [
-    (1000, [129, 129, 134, 127, 129, 134, 157, 251, 495]),
-    (2000, [129, 129, 134, 127, 129, 133, 157, 251, 501]),
-    (8000, [129, 129, 134, 127, 129, 133, 158, 251, 503]),
+    (1000, [73, 73, 81, 65, 70, 82, 138, 257, 483]),
+    (2000, [73, 73, 81, 65, 70, 82, 141, 259, 489]),
+    (8000, [73, 73, 81, 65, 70, 83, 144, 259, 489]),
 ])
-def test_window_count_refines_the_catalog_contours_from_128_points(n, points):
+def test_window_count_refines_the_catalog_contours_from_16_points_a_side(n, points):
     # the certified count in each box, and the points of its final contour,
-    # refined from 128 by the d/dz log det rule
+    # refined from 4 * 16 + 1 = 65 by the d/dz log det rule
     counts = [2, 3, 3, 8, 0, 1, 2, 11, 21]
     for (name, env), count, want in zip(CATALOG_BOXES + DEEP_LADDER_BOXES, counts, points,
                                         strict=True):
@@ -555,6 +555,24 @@ def test_window_count_equals_the_dense_count_on_random_tridiagonals(n, seed, pla
     dense = np.linalg.eigvals(np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1))
     below = dense.real.min() - 0.5 + place * (np.ptp(dense.real) + 1.0)
     # an eigenvalue within rounding of below is on the contour, in or out
+    assume(np.min(np.abs(dense.real - below)) > 1e-9 * max(1.0, np.max(np.abs(dense))))
+    box = window_box(diag, lower, upper, below)
+    count = 0 if box is None else window_count(diag, lower * upper, box)[0]
+    assert count == np.count_nonzero(dense.real < below)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1), k=st.floats(0.0, 6.0),
+       place=st.floats(0.05, 0.95))
+def test_window_count_equals_the_dense_count_on_long_thin_boxes(n, seed, k, place):
+    # a diagonal stretched 10^k times along Re spreads the eigenvalues that
+    # much wider along Re than along Im; the first contour gives every side
+    # 16 points, however long, so the guard alone refines the long sides
+    rng = np.random.default_rng(seed)
+    diag, lower, upper = _tridiagonal(rng, n)
+    diag = 10.0**k * diag.real + 1j * diag.imag
+    dense = np.linalg.eigvals(np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1))
+    below = dense.real.min() + place * np.ptp(dense.real)
     assume(np.min(np.abs(dense.real - below)) > 1e-9 * max(1.0, np.max(np.abs(dense))))
     box = window_box(diag, lower, upper, below)
     count = 0 if box is None else window_count(diag, lower * upper, box)[0]
@@ -714,7 +732,9 @@ def test_vanishing_pivot_is_a_solver_error():
         return window_count(diag, zero, window_box(diag, zero, zero, 3.0))[2]
 
     t = 0.0
-    for _ in range(4):
+    for _ in range(12):  # each step cuts |sigma(t) - t| by about 100
+        if abs(shift(t) - t) <= np.finfo(float).eps * 1000.0:
+            break
         t += 1.5 * (shift(t) - t)
     assert abs(shift(t) - t) <= np.finfo(float).eps * 1000.0
     with pytest.raises(EigenSolverError, match="pivot 1 of"):
