@@ -14,13 +14,13 @@ raise a domain error instead of returning infinities.
 
 The numeric antiderivative cuts the gaps between 0 and the sorted points
 into equal panels of at most QUADRATURE_PANEL (wider on a span longer than
-QUADRATURE_MAX_PANELS of them) and samples W at the 21 nodes of each: the
-Kronrod rule gives the panel's value, and its difference to the embedded
-10-point Gauss rule the error estimate (QUADPACK's qk21).  The values are
-summed outwards from 0.  A gap whose estimate exceeds QUADRATURE_TOL, as
-next to a root singularity at 0, has its failing panels halved recursively,
-each with half the tolerance, and one that still fails after
-QUADRATURE_DEPTH halvings is a QuadratureError, a domain error.
+QUADRATURE_MAX_PANELS of them) and applies QUADPACK's qk21 to each: the
+21-point Kronrod rule gives its value, and the difference to the embedded
+10-point Gauss rule its error estimate.  A gap's tolerance, QUADRATURE_TOL *
+max(1, |gap integral|), is shared by its panels, and one loop halves each
+panel over its share, with half the share, up to QUADRATURE_DEPTH times.  A
+gap whose summed error still exceeds its tolerance, as at a pole at 0, is a
+QuadratureError, a domain error.  The values are summed outwards from 0.
 
 G, Q and V all come from three samples, I, W and W', so a derived model
 takes one sample set per point set, the three together: G, Q, V and W on
@@ -37,6 +37,7 @@ import numpy as np
 from .expressions import (
     EvaluationError,
     _first_offender,
+    _refuse,
     differentiate,
     evaluate,
     free_parameters,
@@ -158,9 +159,9 @@ def antiderivative(spec, x):
 def _numeric_antiderivative(spec, x):
     scalar = np.ndim(x) == 0
     xs = np.asarray(x, dtype=float).ravel()
+    _refuse(~np.isfinite(xs), "quadrature to a non-finite point", xs)
     order = np.argsort(xs)
-    # the gaps between consecutive sorted stops, 0 among them, are cut into
-    # equal panels; W is sampled once at the 21 Gauss-Kronrod nodes of each
+    # the gaps between the sorted stops, 0 among them, are cut into equal panels
     zero = np.searchsorted(xs[order], 0.0)
     stops = np.insert(xs[order], zero, 0.0)
     gaps = np.diff(stops)
@@ -168,57 +169,49 @@ def _numeric_antiderivative(spec, x):
     widest = max(QUADRATURE_PANEL, (stops[-1] - stops[0]) / QUADRATURE_MAX_PANELS)
     panels = np.maximum(1, np.ceil(gaps / widest)).astype(int)
     first = np.cumsum(panels) - panels
+    # each live panel is one entry: panel k of gap owner at depth d spans
+    # stops[owner] + 2 * half * [k, k + 1], half = widths[owner] / 2^d, and
+    # k is a float, which no halving can overflow
     owner = np.repeat(np.arange(gaps.size), panels)
-    # panel k of gap j spans stops[j] + 2 * half * [k, k + 1]
-    k = (np.arange(owner.size) - first[owner])[:, None]
-    half = 0.5 * (gaps / panels)[owner, None]
-    nodes = stops[owner, None] + half * (2 * k + 1 + KRONROD_NODES)
-    # each panel's value is the Kronrod rule's, and its error estimate that of
-    # the Gauss rule, |Kronrod - Gauss|
-    kronrod, gauss = (half * (evaluate(spec.W, nodes, spec.env) @ KRONROD_WEIGHTS)).T
-    values = np.add.reduceat(kronrod, first)
-    errors = np.add.reduceat(np.abs(kronrod - gauss), first)
-    # negated, so that a NaN estimate (W overflowing on a node) also fails
-    bad = ~(errors <= QUADRATURE_TOL * np.maximum(1.0, np.abs(values)))
-    for i in np.flatnonzero(bad):
-        values[i], errors[i] = _refined_gap(spec, stops[i], stops[i + 1], panels[i],
-                                            QUADRATURE_TOL * max(1.0, abs(values[i])))
-        if not errors[i] <= QUADRATURE_TOL * max(1.0, abs(values[i])):
-            raise QuadratureError(
-                "quadrature error %.3g over [%g, %g] exceeds %g"
-                % (errors[i], stops[i], stops[i + 1], QUADRATURE_TOL)
-            )
+    k = np.arange(owner.size, dtype=float) - first[owner]
+    widths = 0.5 * (gaps / panels)
+    values, errors, halved = np.zeros((3, gaps.size))
+    for depth in range(QUADRATURE_DEPTH + 1):
+        # W is sampled once at the 21 nodes of each live panel: its value is
+        # the Kronrod rule's, and its error estimate |Kronrod - Gauss|
+        half = widths[owner, None] * 0.5**depth
+        nodes = stops[owner, None] + half * (2 * k[:, None] + 1 + KRONROD_NODES)
+        kronrod, gauss = (half * (evaluate(spec.W, nodes, spec.env) @ KRONROD_WEIGHTS)).T
+        misses = np.abs(kronrod - gauss)
+        if depth == 0:
+            whole = np.add.reduceat(kronrod, first)
+            tol = QUADRATURE_TOL * np.maximum(1.0, np.abs(whole))
+        # a panel's share of its gap's tolerance halves with its width;
+        # negated, so that a NaN estimate (W overflowing on a node) also fails
+        fail = ~(misses <= (tol / panels)[owner] * 0.5**depth)
+        if not fail.any() or depth == QUADRATURE_DEPTH or 2 * fail.sum() > QUADRATURE_MAX_PANELS:
+            break
+        # the passing panels are done, and a failing panel k is halved into
+        # panels 2k and 2k + 1
+        values += np.bincount(owner, np.where(fail, 0.0, kronrod), gaps.size)
+        errors += np.bincount(owner, np.where(fail, 0.0, misses), gaps.size)
+        halved[owner[fail]] = 1
+        owner, k = np.repeat(owner[fail], 2), (2 * k[fail, None] + (0, 1)).ravel()
+    # the panels of the last depth count as they are, passing or not
+    errors += np.bincount(owner, misses, gaps.size)
+    for i in np.flatnonzero(~(errors <= tol)):
+        raise QuadratureError(
+            "quadrature error %.3g over [%g, %g] exceeds %g"
+            % (errors[i], stops[i], stops[i + 1], QUADRATURE_TOL)
+        )
+    # a gap with no halved panel keeps the sum of its equal panels
+    values = np.where(halved, values + np.bincount(owner, kronrod, gaps.size), whole)
     # accumulated outwards from x = 0 on each side, so no value carries the
     # rounding of a detour through the far end of the other side
     below, above = np.cumsum(values[:zero][::-1])[::-1], np.cumsum(values[zero:])
     out = np.empty_like(values)
     out[order] = np.concatenate((-below, above))
     return float(out[0]) if scalar else out.reshape(np.shape(x))
-
-
-def _refined_gap(spec, lo, hi, panels, tol):
-    """(value, error) of the integral of W over a gap [lo, hi] that failed
-    as `panels` equal panels: the qk21 rule on those panels, each halved,
-    recursively, while its error exceeds its share of tol, which halves with
-    it.  Refinement stops after QUADRATURE_DEPTH halvings, or once the next
-    depth would take more than QUADRATURE_MAX_PANELS panels; the panels that
-    still fail then add their errors (NaN for a W that overflows there)."""
-    width = (hi - lo) / panels
-    starts = lo + width * np.arange(panels)
-    tol /= panels
-    value = error = 0.0
-    for depth in range(QUADRATURE_DEPTH + 1):
-        half = 0.5 * width
-        nodes = starts[:, None] + half * (1 + KRONROD_NODES)
-        kronrod, gauss = (half * (evaluate(spec.W, nodes, spec.env) @ KRONROD_WEIGHTS)).T
-        misses = np.abs(kronrod - gauss)
-        fail = ~(misses <= tol)
-        value += np.sum(kronrod[~fail])
-        error += np.sum(misses[~fail])
-        if not fail.any() or depth == QUADRATURE_DEPTH or 2 * fail.sum() > QUADRATURE_MAX_PANELS:
-            return value + np.sum(kronrod[fail]), error + np.sum(misses[fail])
-        width, tol = half, 0.5 * tol
-        starts = np.concatenate((starts[fail], starts[fail] + width))
 
 
 class DerivedModel:

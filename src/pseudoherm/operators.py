@@ -44,6 +44,8 @@ class Grid:
             raise SpecError("grid needs finite ends, got [%g, %g]" % (self.a, self.b))
         if not self.a < self.b:
             raise SpecError("grid needs a < b, got [%g, %g]" % (self.a, self.b))
+        if not np.isfinite(self.b - self.a):
+            raise SpecError("grid span b - a of [%g, %g] overflows" % (self.a, self.b))
         if self.n < 3:
             raise SpecError("grid needs at least 3 interior points")
         # a complex band of the grid takes 16 bytes a point, and numpy sizes

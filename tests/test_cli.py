@@ -83,6 +83,28 @@ def test_derive_refines_the_quadrature_gap_next_to_a_root_singularity(capsys, W,
         np.testing.assert_allclose(columns["G"], -0.5 * integral(x), rtol=0, atol=1e-10)
 
 
+def test_derive_evaluates_each_quadrature_panel_once(capsys, monkeypatch):
+    # refinement halves the failing panels next to the root singularity; the
+    # panels that passed, and the parents of the halves, are not sampled again
+    rows, evaluate = [], generator.evaluate
+
+    def recorded_evaluate(expr, x, env=None):
+        if np.ndim(x) == 2:  # the quadrature's nodes, one row per panel
+            rows.append(np.asarray(x).copy())
+        return evaluate(expr, x, env)
+
+    monkeypatch.setattr(generator, "evaluate", recorded_evaluate)
+    code, _, err = run(capsys, "derive", "--W=sqrt(x)", "--a", "0.5", "--b", "4")
+    assert code == 0, err
+    nodes = np.concatenate(rows)
+    assert len(rows) > 1  # refined
+    # a panel by its centre (the rule's node at 0) and width, in units that
+    # absorb the rounding of two ways of placing the same nodes
+    width = nodes[:, -1] - nodes[:, 0]
+    keys = np.column_stack((np.round(nodes[:, 10] / width, 3), np.round(np.log2(width), 6)))
+    assert np.unique(keys, axis=0).shape[0] == nodes.shape[0]
+
+
 def test_derive_of_a_divergent_integral_stays_a_quadrature_error(capsys):
     # int_0 1/x diverges: refinement reaches its bound and the gap still fails
     code, out, err = run(capsys, "derive", "--W=1/x", "--a", "0.5", "--b", "4")
@@ -929,6 +951,18 @@ def test_verify_rejects_an_infinite_grid_end(capsys):
     assert code == 2
     assert out == ""
     assert "finite ends" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("derive", "--W=1"),
+    ("verify", "--W=1"),
+    ("spectrum", "--model", "scarf2", "--param", "A=4", "--N", "10"),
+], ids=["derive", "verify", "spectrum"])
+def test_grid_whose_span_overflows_is_a_spec_error(capsys, argv):
+    # both ends are finite, but b - a is not, and neither is the spacing h
+    code, out, err = run(capsys, *argv, "--a=-1e308", "--b", "1e308")
+    assert (code, out) == (2, "")
+    assert err == "specification error: grid span b - a of [-1e+308, 1e+308] overflows\n"
 
 
 @pytest.mark.parametrize("command", ["verify", "spectrum"])

@@ -153,6 +153,32 @@ def test_numeric_antiderivative_matches_quad(sample):
     assert np.max(np.abs(got - reference) / np.maximum(1.0, np.abs(reference))) <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+    st.floats(0.0, 2.0, exclude_min=True).flatmap(
+        lambda a: st.tuples(st.just(a), st.floats(a, 20.0, exclude_min=True))
+    ),
+    st.integers(1, 60),
+)
+def test_numeric_antiderivative_refines_a_root_singularity(coefficients, window, n):
+    # sqrt(x) is not smooth at 0, so the panels next to it are halved while
+    # the polynomial part passes as equal panels
+    c, p0, p1, p2 = coefficients
+    spec = GeneratorSpec(W="c*sqrt(x) + p0 + p1*x + p2*x^2",
+                         env={"c": c, "p0": p0, "p1": p1, "p2": p2})
+    xs = np.linspace(*window, n)
+    exact = 2.0 / 3.0 * c * xs**1.5 + p0 * xs + p1 * xs**2 / 2 + p2 * xs**3 / 3
+    got = antiderivative(spec, xs)
+    assert np.all(np.abs(got - exact) <= 1e-10 * np.maximum(1.0, np.abs(exact)))
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, [1.0, math.nan]])
+def test_numeric_antiderivative_refuses_a_non_finite_point(x):
+    with pytest.raises(EvaluationError, match="non-finite point at x = (nan|inf|-inf)$"):
+        antiderivative(GeneratorSpec(W="1"), x)
+
+
 def test_numeric_antiderivative_memory_stays_bounded_on_long_windows():
     # panels widen on long windows; at the narrowest panel width this grid
     # would take about 60 MB of nodes and samples
