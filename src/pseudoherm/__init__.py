@@ -49,6 +49,7 @@ from .operators import (
     intertwining_residual,
     matrix_from_csv,
     matrix_to_csv,
+    verify_residuals,
 )
 
 __version__ = "0.1.0"

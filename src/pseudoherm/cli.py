@@ -240,13 +240,8 @@ def cmd_verify(cfg):
         model = derive(spec)
         hamiltonian = operators.build_hamiltonian(model, grid)
         eta = operators.build_eta(model, grid)
-    residuals = {
-        "intertwining": operators.intertwining_residual(hamiltonian, eta),
-        "eta_hermiticity": operators.hermiticity_residual(eta),
-        "etaH_hermiticity": operators.hermiticity_residual(
-            operators.compose(eta, hamiltonian, "etaH")
-        ),
-    }
+    residuals = dict(zip(("intertwining", "eta_hermiticity", "etaH_hermiticity"),
+                         operators.verify_residuals(hamiltonian, eta)))
     report = {"config": _config_dict(cfg, spec, grid), "residuals": residuals}
     table = {"check": list(residuals), "residual": list(residuals.values())}
     if external:

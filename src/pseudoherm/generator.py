@@ -25,9 +25,10 @@ QuadratureError, a domain error.  The values are summed outwards from 0.
 G, Q and V all come from three samples, I, W and W', so a derived model
 takes one sample set per point set, the three together: G, Q, V and W on
 the same points cost one quadrature pass and one evaluation each of W and
-W'.  The model keeps only the last point set.  Where I counts as zero, so
-that Q and V diverge, is one model method, antiderivative_zero, which Q
-and the CLI's derive both call.
+W', and Q, which V holds, is formed once from them.  The model keeps only
+the last point set.  Where I counts as zero, so that Q and V diverge, is
+one model method, antiderivative_zero, which Q and the CLI's derive both
+call.
 """
 
 from dataclasses import dataclass, field
@@ -165,8 +166,11 @@ def _numeric_antiderivative(spec, x):
     zero = np.searchsorted(xs[order], 0.0)
     stops = np.insert(xs[order], zero, 0.0)
     gaps = np.diff(stops)
-    # long windows get wider panels, so the node count stays bounded
-    widest = max(QUADRATURE_PANEL, (stops[-1] - stops[0]) / QUADRATURE_MAX_PANELS)
+    # long windows get wider panels, so the node count stays bounded; the
+    # span is taken in Python floats, whose overflow is a silent inf, so a
+    # span past the float range gets one panel per gap
+    span = float(stops[-1]) - float(stops[0])
+    widest = max(QUADRATURE_PANEL, span / QUADRATURE_MAX_PANELS)
     panels = np.maximum(1, np.ceil(gaps / widest)).astype(int)
     first = np.cumsum(panels) - panels
     # each live panel is one entry: panel k of gap owner at depth d spans
@@ -221,21 +225,23 @@ class DerivedModel:
     Each point set is sampled once: the first call on new points takes I, W
     and W' there, in that order, and the model keeps the three with a copy
     of the points (compared by content, so an array changed in place counts
-    as new points) until a call on other points replaces them.
+    as new points) until a call on other points replaces them.  Q is formed
+    once per point set too, by the first call of Q or V there, and kept
+    next to the samples until they are replaced.
     """
 
     def __init__(self, spec):
         self.spec = spec
         self._w_prime = differentiate(spec.W)
-        self._points = self._samples = None
+        self._points = self._samples = self._q = None
 
     def _sampled(self, x):
-        """(I, W, W') at x, taken once per point set."""
+        """(I, W, W') at x, taken once per point set; new points also drop Q."""
         points = (np.shape(x), np.asarray(x, dtype=float).tobytes())
         if points != self._points:
             i, env = antiderivative(self.spec, x), self.spec.env
             self._samples = i, evaluate(self.spec.W, x, env), evaluate(self._w_prime, x, env)
-            self._points = points
+            self._points, self._q = points, None
         return self._samples
 
     def antiderivative_zero(self, x):
@@ -259,22 +265,31 @@ class DerivedModel:
         w = self._sampled(x)[1]
         return w.copy() if isinstance(w, np.ndarray) else w
 
-    def Q(self, x):
-        bad = self.antiderivative_zero(x)
-        if np.any(bad):
-            raise GZeroError(
-                "antiderivative of W vanishes at x = %g; V and Q diverge there"
-                % _first_offender(x, bad)
-            )
+    def _kept_q(self, x):
+        """Q at x, formed once per point set and kept with its samples; the
+        array itself, which Q copies.  A zero of I is refused on every call,
+        since nothing is kept then."""
         i, w, wp = self._sampled(x)
-        half = w / (2.0 * i)
-        q = wp / (2.0 * i) - half**2
-        # without alpha the term is absent, not 0 / I^2, which is NaN where
-        # I^2 underflows (constant W0 = 1e-300)
-        return q + self.spec.alpha / i**2 if self.spec.alpha else q
+        if self._q is None:
+            bad = self.antiderivative_zero(x)
+            if np.any(bad):
+                raise GZeroError(
+                    "antiderivative of W vanishes at x = %g; V and Q diverge there"
+                    % _first_offender(x, bad)
+                )
+            half = w / (2.0 * i)
+            q = wp / (2.0 * i) - half**2
+            # without alpha the term is absent, not 0 / I^2, which is NaN where
+            # I^2 underflows (constant W0 = 1e-300)
+            self._q = q + self.spec.alpha / i**2 if self.spec.alpha else q
+        return self._q
+
+    def Q(self, x):
+        q = self._kept_q(x)
+        return q.copy() if isinstance(q, np.ndarray) else q
 
     def V(self, x):
-        return self.Q(x) - self.G(x) ** 2 + self.spec.beta
+        return self._kept_q(x) - self.G(x) ** 2 + self.spec.beta
 
 
 def derive(spec):

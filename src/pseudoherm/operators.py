@@ -13,6 +13,12 @@ Products, adjoints and the Frobenius-norm residuals work on the diagonals in
 O(N); a dense N x N matrix is assembled only on request, for the full-spectrum
 eigensolver and CSV export, and for products of operands that store many
 diagonals (a full matrix read from CSV).
+
+The intertwining eta H = H^dag eta is, for a Hermitian eta, the statement
+that P = eta H is Hermitian, so verify_residuals reads all three verify
+residuals from the one product P: for any eta,
+eta H - H^dag eta = (P - P^dag) - H^dag (eta - eta^dag), and the second
+term is formed only when eta is not Hermitian.
 """
 
 import csv
@@ -208,28 +214,71 @@ def _check_grids(left, right):
         )
 
 
-def intertwining_residual(hamiltonian, eta):
-    """|| eta H - H^dag eta ||_F normalized by ||eta||_F ||H||_F (0 when
-    either is the zero matrix, since the defect is then 0 too)."""
+def _skew(bands):
+    """Bands of M - M^dag."""
+    return _difference(bands, _adjoint(bands))
+
+
+def _relative(norm, scale):
+    """norm / scale, and 0 for a zero scale: a zero factor in the scale
+    makes the norm 0 too."""
+    return 0.0 if scale == 0.0 else float(norm / scale)
+
+
+def _defects(hamiltonian, eta):
+    """From one band product P = eta H: the bands of P and of eta - eta^dag,
+    ||P - P^dag||_F, and ||eta H - H^dag eta||_F by the identity
+
+        eta H - H^dag eta = (P - P^dag) - H^dag (eta - eta^dag),
+
+    so for a Hermitian eta the intertwining defect is the Hermiticity defect
+    of P.  The second term is formed, from the nonzero bands of
+    eta - eta^dag, only for an eta that is not Hermitian (build_eta's is
+    Hermitian exactly; a CSV matrix need not be).
+    """
+    product = _product(eta.bands, hamiltonian.bands)
+    product_skew, eta_skew = _skew(product), _skew(eta.bands)
+    defect = skew = _frobenius(product_skew)
+    nonzero = {k: band for k, band in eta_skew.items() if np.any(band)}
+    if nonzero:
+        # the main band stays, since _product's dense path sizes an operand by it
+        nonzero.setdefault(0, eta_skew[0])
+        correction = _product(_adjoint(hamiltonian.bands), nonzero)
+        defect = _frobenius(_difference(product_skew, correction))
+    return product, eta_skew, skew, defect
+
+
+def verify_residuals(hamiltonian, eta):
+    """(intertwining, eta_hermiticity, etaH_hermiticity) of one pair, the
+    residuals verify reports, all from one band product P = eta H (see
+    _defects).  With eta Hermitian the first and third share the numerator
+    ||P - P^dag||_F and differ in scale: ||eta||_F ||H||_F against ||P||_F.
+    """
     hamiltonian, eta = _operator(hamiltonian), _operator(eta)
     _check_grids(hamiltonian, eta)
-    defect = _difference(
-        _product(eta.bands, hamiltonian.bands),
-        _product(_adjoint(hamiltonian.bands), eta.bands),
+    product, eta_skew, skew, defect = _defects(hamiltonian, eta)
+    eta_norm = _frobenius(eta.bands)
+    return (
+        _relative(defect, eta_norm * _frobenius(hamiltonian.bands)),
+        _relative(_frobenius(eta_skew), eta_norm),
+        _relative(skew, _frobenius(product)),
     )
-    scale = _frobenius(eta.bands) * _frobenius(hamiltonian.bands)
-    if scale == 0.0:
-        return 0.0
-    return float(_frobenius(defect) / scale)
+
+
+def intertwining_residual(hamiltonian, eta):
+    """|| eta H - H^dag eta ||_F normalized by ||eta||_F ||H||_F (0 when
+    either is the zero matrix, since the defect is then 0 too), from one
+    band product by the identity of _defects."""
+    hamiltonian, eta = _operator(hamiltonian), _operator(eta)
+    _check_grids(hamiltonian, eta)
+    defect = _defects(hamiltonian, eta)[3]
+    return _relative(defect, _frobenius(eta.bands) * _frobenius(hamiltonian.bands))
 
 
 def hermiticity_residual(op):
     """|| M - M^dag ||_F / ||M||_F (0 for the zero matrix)."""
     bands = _operator(op).bands
-    scale = _frobenius(bands)
-    if scale == 0.0:
-        return 0.0
-    return float(_frobenius(_difference(bands, _adjoint(bands))) / scale)
+    return _relative(_frobenius(_skew(bands)), _frobenius(bands))
 
 
 def matrix_to_csv(op, path):
@@ -246,18 +295,27 @@ def matrix_to_csv(op, path):
 
 def matrix_from_csv(path):
     """Inverse of matrix_to_csv.  Input that cannot be read, holds a
-    non-numeric field or is not a square matrix raises SpecError."""
+    non-numeric or non-finite field or is not a square matrix raises
+    SpecError; a bad field is named by its row and column, from 1."""
     try:
         with open(path, newline="") as handle:
             records = [record for record in csv.reader(handle) if record]
     except (OSError, UnicodeDecodeError) as exc:
         raise SpecError("cannot read matrix CSV: %s" % exc) from None
     rows = []
-    for record in records:
+    for row, record in enumerate(records, 1):
+        values = []
         try:
-            flat = np.array([float(v) for v in record])
+            for field in record:
+                values.append(float(field))
         except ValueError as exc:
-            raise SpecError("%s: %s" % (path, exc)) from None
+            raise SpecError("%s, row %d, column %d: %s"
+                            % (path, row, len(values) + 1, exc)) from None
+        flat = np.array(values)
+        bad = np.flatnonzero(~np.isfinite(flat))
+        if bad.size:
+            raise SpecError("%s, row %d, column %d: non-finite field '%s'"
+                            % (path, row, bad[0] + 1, record[bad[0]].strip()))
         if flat.size % 2:
             raise SpecError("CSV row length %d is not re,im paired" % flat.size)
         rows.append(flat[0::2] + 1j * flat[1::2])

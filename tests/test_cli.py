@@ -386,6 +386,31 @@ def test_inline_op_samples_its_points_once(capsys, monkeypatch, argv):
     assert calls == {"quadrature": 1, "W": 1, "Wp": 1}
 
 
+@pytest.mark.parametrize(
+    "command,expected",
+    [("verify", {"products": 1, "Q": 1}), ("derive", {"products": 0, "Q": 1})],
+)
+def test_catalog_op_forms_one_product_and_q_once(capsys, monkeypatch, command, expected):
+    # verify reads its three residuals off one product eta H, and H and eta,
+    # like derive's columns, take one Q; each forming of Q first tests I for zeros
+    calls = {"products": 0, "Q": 0}
+    product, zero = operators._product, generator.DerivedModel.antiderivative_zero
+
+    def counted_product(left, right):
+        calls["products"] += 1
+        return product(left, right)
+
+    def counted_zero(model, x):
+        calls["Q"] += 1
+        return zero(model, x)
+
+    monkeypatch.setattr(operators, "_product", counted_product)
+    monkeypatch.setattr(generator.DerivedModel, "antiderivative_zero", counted_zero)
+    code, _, err = run(capsys, command, "--model", "scarf2", "--param", "A=4", "--N", "200")
+    assert code in (0, 1), err
+    assert calls == expected
+
+
 def test_cli_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(pseudoherm.__file__))
     done = subprocess.run(
@@ -1159,11 +1184,13 @@ def test_spectrum_sweep_refuses_csv_before_solving(capsys, monkeypatch):
     "H_text,eta_text,message",
     [
         ("1,0,0,0\n0,0\n", "1,0,0,0\n0,0,1,0\n", "not a square matrix"),
-        ("1,0,x,0\n0,0,1,0\n", "1,0,0,0\n0,0,1,0\n", "could not convert"),
+        ("1,0,x,0\n0,0,1,0\n", "1,0,0,0\n0,0,1,0\n", "row 1, column 3: could not convert"),
+        ("1,0,inf,0\n0,0,1,0\n", "1,0,0,0\n0,0,1,0\n", "row 1, column 3: non-finite field 'inf'"),
+        ("1,0,0,0\n0,0,1,0\n", "1,0,0,0\n0,0,1,nan\n", "row 2, column 4: non-finite field 'nan'"),
         ("1,0,0,0\n0,0,1,0\n", "1,0\n", "different shapes"),
         (None, "1,0\n", "cannot read"),
     ],
-    ids=["ragged", "non_numeric", "size_mismatch", "missing_file"],
+    ids=["ragged", "non_numeric", "inf", "nan", "size_mismatch", "missing_file"],
 )
 def test_verify_external_rejects_bad_csv(capsys, tmp_path, H_text, eta_text, message):
     h_path = tmp_path / "H.csv"

@@ -179,6 +179,14 @@ def test_numeric_antiderivative_refuses_a_non_finite_point(x):
         antiderivative(GeneratorSpec(W="1"), x)
 
 
+def test_numeric_antiderivative_takes_a_span_past_the_float_range():
+    # the span 2e308 overflows; each gap then is one panel, without a warning
+    xs = np.array([-1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_array_equal(antiderivative(GeneratorSpec(W="1"), xs), xs)
+
+
 def test_numeric_antiderivative_memory_stays_bounded_on_long_windows():
     # panels widen on long windows; at the narrowest panel width this grid
     # would take about 60 MB of nodes and samples
@@ -253,8 +261,10 @@ def test_gzero_error_reports_offending_point():
     # odd antiderivative crossing zero at the origin
     spec = GeneratorSpec(W="x*exp(-x^2)", antiderivative="-exp(-x^2)/2 + 0.5")
     model = derive(spec)
-    with pytest.raises(GZeroError, match="x = 0"):
-        model.Q(np.array([1.0, 0.0]))
+    # each call on the points refuses them, the second from kept samples
+    for _ in range(2):
+        with pytest.raises(GZeroError, match="x = 0"):
+            model.Q(np.array([1.0, 0.0]))
     # integrated from 0, G is defined at the origin while Q is not
     inline = derive(GeneratorSpec(W="x*exp(-x^2)"))
     assert inline.G(0.0) == 0.0
@@ -294,6 +304,7 @@ def test_samples_are_kept_by_content_not_identity(spec, xs):
     # a value handed out is the caller's to change
     model.W(other)[:] = 0.0
     model.G(other)[:] = 0.0
+    model.Q(other)[:] = 0.0
     assert_array_equal(sampled(model, other), sampled(derive(spec), other))
 
 

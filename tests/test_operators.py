@@ -21,6 +21,7 @@ from pseudoherm.operators import (
     intertwining_residual,
     matrix_from_csv,
     matrix_to_csv,
+    verify_residuals,
 )
 
 
@@ -318,6 +319,40 @@ def test_banded_matches_dense_on_catalog_models(pair):
         assert sorted(op.bands) == [-1, 0, 1]
         assert np.array_equal(op.matrix, assemble(op))
     assert_bands_match_dense(h_op, eta_op, h_op.matrix, eta_op.matrix)
+
+
+@st.composite
+def verify_pairs(draw):
+    """(H, eta) as operators of random bands or as plain matrices, with eta
+    Hermitian, Hermitian but for one entry, or general."""
+    n = draw(st.integers(3, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offsets = st.sets(st.integers(1 - n, n - 1), max_size=6)
+
+    def random_operator():
+        return DiscreteOperator({k: rng.standard_normal(n - abs(k))
+                                 + 1j * rng.standard_normal(n - abs(k))
+                                 for k in draw(offsets) | {0}})
+
+    h, e = random_operator().matrix, random_operator().matrix
+    kind = draw(st.sampled_from(["hermitian", "one_entry_off", "general"]))
+    if kind != "general":
+        e = (e + e.conj().T) / 2
+    if kind == "one_entry_off":
+        e[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] += 0.5j
+    if draw(st.booleans()):
+        return h, e, h, e
+    return DiscreteOperator.from_matrix(h), DiscreteOperator.from_matrix(e), h, e
+
+
+@settings(max_examples=100, deadline=None)
+@given(verify_pairs())
+def test_verify_residuals_are_those_of_the_dense_products(pair):
+    h_op, eta_op, h, e = pair
+    expected = (dense_intertwining(h, e), dense_hermiticity(e), dense_hermiticity(e @ h))
+    residuals = verify_residuals(h_op, eta_op)
+    assert residuals == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert intertwining_residual(h_op, eta_op) == residuals[0]
 
 
 # ---------------------------------------------------------------------------
