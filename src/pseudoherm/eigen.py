@@ -18,10 +18,13 @@ eig is the one solver entry point, with two paths:
   point.  The final contour's moment over the count is the mean of
   the eigenvalues inside, and the shift sigma is next to it.  The LU of
   H - sigma takes its pivots row by row, p_j = d_j - sigma -
-  l_(j-1) u_(j-1) / p_(j-1).  Shift-invert Arnoldi (ARPACK's design;
-  Lehoucq, Sorensen & Yang, 1998) then finds the eigenvalues until its
-  converged Ritz values in the box number the certified count; a mismatch
-  at the largest Krylov dimension is EigenSolverError.
+  l_(j-1) u_(j-1) / p_(j-1), and solves with each factor as one
+  cumulative sum: x_j = f_j + a_j x_(j-1) is x = P cumsum(f / P) with P the
+  running product of a, restarted before 1/P overflows.  Shift-invert
+  Arnoldi (ARPACK's design; Lehoucq, Sorensen & Yang, 1998) then finds the
+  eigenvalues until its converged Ritz values in the box number the
+  certified count; a mismatch at the largest Krylov dimension is
+  EigenSolverError.
 
 Post-processing reports a defective level that discretization split in
 two as one level at its group mean, separates grid-localized bound states
@@ -68,6 +71,10 @@ KRYLOV_SEED = 20261018
 # reorthogonalization has closed an invariant subspace: multiples of the
 # identity keep 1.1e-16 at most, and every catalog step at least 9.9e-5.
 INVARIANT = 64 * np.finfo(float).eps
+# A triangular solve's running product P restarts where it falls
+# 2^-RESTART_BITS below its segment's start, so that f / P keeps 2^400 of
+# headroom below the float range.
+RESTART_BITS = 600
 
 
 class EigenSolverError(RuntimeError):
@@ -317,8 +324,8 @@ def window_count(diag, couplings, box):
 
 def _tridiagonal_lu(diag, lower, upper):
     """M = LU without pivoting, as the factors of _tridiagonal_solve: the
-    doubling coefficients of Ly = b, 1/u and those of Ux = y from the last
-    row up.  With l and r the lower and upper bands, the pivots are
+    prefix products of Ly = b, 1/u and those of Ux = y from the last row
+    up.  With l and r the lower and upper bands, the pivots are
     u_j = d_j - l_(j-1) r_(j-1) / u_(j-1) from u_0 = d_0, L has multipliers
     m_j = l_(j-1) / u_(j-1) and U the upper band r_j, so y_j = b_j -
     m_j y_(j-1), x_j = y_j / u_j - (r_j / u_j) x_(j+1).  A pivot with
@@ -334,30 +341,67 @@ def _tridiagonal_lu(diag, lower, upper):
     inverse = 1.0 / pivots
     backward = np.concatenate(([0j], (-upper * inverse[:-1])[::-1]))
     forward = np.concatenate(([0j], -lower / pivots[:-1]))
-    return _doubling(forward), inverse, _doubling(backward)
+    return _prefix_products(forward), inverse, _prefix_products(backward)
 
 
-def _doubling(coef):
-    """Recursive doubling (Stone, J. ACM 20, 1973) for x_j = f_j + coef_j x_(j-1),
-    coef_0 unread: step k = 1, 2, 4, ... adds coef_j x_(j-k) to each x_j with
-    j >= k, and the next step's coef_j is coef_j coef_(j-k).  A long span's
-    product can overflow where x does not; it is refused like a vanishing pivot."""
-    steps, k = [], 1
-    while k < coef.size:
-        steps.append(coef[k:])
-        with np.errstate(over="ignore", invalid="ignore"):
-            coef = np.concatenate((coef[:k], coef[k:] * coef[:-k]))
-        k *= 2
-    if not all(np.all(np.isfinite(step)) for step in steps):
-        raise EigenSolverError("the doubling coefficients of the shifted factorization overflow")
-    return steps
+def _prefix_products(coef):
+    """The factor of _scan for x_j = f_j + coef_j x_(j-1), coef_0 unread,
+    as (P, 1/P, segments): x = P cumsum(f / P), with P_j the product of
+    coef_1 ... coef_j.
+
+    P restarts at 1 on the row where it falls 2^-RESTART_BITS below its
+    value at the segment's start.  The few segments (start, stop,
+    coef_start, rows, bases) are summed one after another, each start
+    taking coef_start x_(start-1) as its carry.  A zero coefficient coef_z
+    makes x_z = f_z with no carry: P takes the factor 1/2 there, which
+    keeps the sums before z from swamping those after it, and the rows j
+    of the segment from z on subtract the sum up to z - 1 (bases = z - 1
+    for rows = j).  A product that grows to 2^1023 over some span is
+    refused, like a vanishing pivot, so 2^-RESTART_BITS <= |P| < 2^1023
+    and neither P nor 1/P overflows."""
+    n = coef.size
+    zero = coef == 0
+    zero[0] = False
+    factor = np.where(zero, 0.5, coef)
+    factor[0] = 1.0
+    bits = np.cumsum(np.log2(np.abs(factor)))
+    low = np.minimum.accumulate(bits)
+    if np.max(bits - low) >= 1023:  # a span's product reaches the float range's top binade
+        raise EigenSolverError("the prefix products of the shifted factorization overflow")
+    # every row before a restart lies above it, so the running minimum finds the next
+    starts = [0]
+    while True:
+        start = int(np.searchsorted(-low, RESTART_BITS - bits[starts[-1]], side="right"))
+        if start >= n:
+            break
+        starts.append(start)
+    last = np.maximum.accumulate(np.where(zero, np.arange(n), 0)) if np.any(zero) else None
+    segments = []
+    for start, stop in zip(starts, starts[1:] + [n]):
+        factor[start] = 1.0
+        rows = bases = None
+        if last is not None and last[stop - 1] > start:
+            rows = np.arange(start, stop)[last[start:stop] > start]
+            bases = last[rows] - 1
+        segments.append((start, stop, coef[start], rows, bases))
+        np.cumprod(factor[start:stop], out=factor[start:stop])
+    return factor, 1.0 / factor, segments
 
 
-def _scan(steps, f):
-    """x with x_j = f_j + coef_j x_(j-1), from the steps of _doubling."""
-    x = np.array(f, dtype=complex)
-    for s, coef in enumerate(steps):
-        x[1 << s:] += coef * x[:-(1 << s)]
+def _scan(factor, f):
+    """x with x_j = f_j + coef_j x_(j-1), from the factor of _prefix_products:
+    per segment one cumulative sum of f / P, less the sums before a zero
+    coefficient, times P; one segment takes three numpy calls."""
+    products, inverse, segments = factor
+    x = f * inverse
+    for start, stop, carry, rows, bases in segments:
+        part = x[start:stop]
+        if carry:  # coef_0 and a zero coefficient carry nothing
+            part[0] += carry * x[start - 1]
+        np.cumsum(part, out=part)
+        if rows is not None:
+            x[rows] -= x[bases]
+        part *= products[start:stop]
     return x
 
 
@@ -378,7 +422,8 @@ def _shift_invert_ritz(factors, sigma):
     (eigenvalues sigma + 1/theta, unit Ritz vectors as columns), at
     m = KRYLOV_START and then m + max(KRYLOV_START, m // 2) (8, 16, 24, 36,
     54, ...) up to min(n, KRYLOV_CAP); each extends the previous basis,
-    whose rows and (m + 1) x m Hessenberg matrix grow by one copy."""
+    whose rows and (m + 1) x m Hessenberg matrix grow by one copy into new
+    zeros (_grown)."""
     n = factors[1].size
     rng = np.random.default_rng(KRYLOV_SEED)
     start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -407,8 +452,15 @@ def _shift_invert_ritz(factors, sigma):
         if m >= limit:
             return
         k, m = m, min(m + max(KRYLOV_START, m // 2), limit)
-        basis = np.pad(basis, ((0, m - k), (0, 0)))
-        hessenberg = np.pad(hessenberg, ((0, m - k), (0, m - k)))
+        basis = _grown(basis, (m + 1, n))
+        hessenberg = _grown(hessenberg, (m + 1, m))
+
+
+def _grown(array, shape):
+    """A zero array of shape with array copied into its leading corner."""
+    out = np.zeros(shape, dtype=array.dtype)
+    out[:array.shape[0], :array.shape[1]] = array
+    return out
 
 
 def _orthogonalize(basis, w):

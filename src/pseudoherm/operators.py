@@ -239,7 +239,8 @@ def _defects(hamiltonian, eta):
     product = _product(eta.bands, hamiltonian.bands)
     product_skew, eta_skew = _skew(product), _skew(eta.bands)
     defect = skew = _frobenius(product_skew)
-    nonzero = {k: band for k, band in eta_skew.items() if np.any(band)}
+    # a complex band's float view is tested in half the time of the band
+    nonzero = {k: band for k, band in eta_skew.items() if band.view(band.real.dtype).any()}
     if nonzero:
         # the main band stays, since _product's dense path sizes an operand by it
         nonzero.setdefault(0, eta_skew[0])

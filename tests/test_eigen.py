@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -516,6 +517,20 @@ def test_deep_ladder_solves_at_a_smaller_krylov_dimension():
     assert report.krylov_dimension <= 181
 
 
+@pytest.mark.filterwarnings("ignore:.*underresolves:UserWarning")
+def test_deepest_catalog_ladder_restarts_its_products_and_solves():
+    # the running product of each factor of H - sigma falls past 2^-600
+    # once in its 1000 rows, so it restarts once, with a carry
+    entry, _, hamiltonian = _catalog_hamiltonian("scarf2", {"A": 100.0}, n=1000)
+    report = eig(hamiltonian, below=entry.spectrum_window)
+    assert report.certified_count == report.eigenvalues.size == 53
+    assert report.krylov_dimension == 406
+    diag, lower, upper = (hamiltonian.bands[k] for k in (0, -1, 1))
+    forward, _, backward = eigen._tridiagonal_lu(diag - report.sigma, lower, upper)
+    for _, _, segments in (forward, backward):
+        assert len(segments) == 2 and segments[1][2] != 0
+
+
 def test_shift_stays_off_a_lone_eigenvalue():
     # the moment puts the mean within 1e-5 of 1 + 1j; SHIFT_OFFSET moves
     # sigma 3e-4 off it, so no pivot of H - sigma vanishes to rounding
@@ -839,7 +854,7 @@ def test_contour_through_an_eigenvalue_is_a_solver_error():
 
 
 def _solve_and_backward_error(diag, lower, upper, rhs):
-    """x from the doubling scans, with its normwise backward error
+    """x from the prefix-product scans, with its normwise backward error
     ||Mx - b|| / (||M|| ||x|| + ||b||) in the max norm (Rigal & Gaches)."""
     x = eigen._tridiagonal_solve(eigen._tridiagonal_lu(diag, lower, upper), rhs)
     applied = diag * x
@@ -900,7 +915,7 @@ def test_tridiagonal_solve_agrees_with_a_dense_solve(case, n):
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
 def test_tridiagonal_solve_matches_dense_on_dominant_matrices(n, seed):
-    # banded against dense: the doubling scans reproduce np.linalg.solve
+    # banded against dense: the prefix-product scans reproduce np.linalg.solve
     rng = np.random.default_rng(seed)
     diag, lower, upper = _dominant_tridiagonal(rng, n)
     rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -924,7 +939,7 @@ def test_lu_pivots_are_ratios_of_leading_minors(n, seed):
 
 
 def test_overflowing_doubling_coefficients_are_a_solver_error():
-    # |m_j| is about 12, so the coefficient over a span of 512 rows overflows
+    # |m_j| is about 12, so the product over a span of 300 rows overflows
     # although the solution of a right-hand side like e_(n-1) does not; a NaN
     # from inf * 0 must never reach Arnoldi
     n = 600
@@ -932,3 +947,78 @@ def test_overflowing_doubling_coefficients_are_a_solver_error():
     lower, upper = np.full(n - 1, 30.0 + 0j), np.full(n - 1, 0.1 + 0j)
     with pytest.raises(EigenSolverError, match="overflow"):
         eigen._tridiagonal_lu(diag, lower, upper)
+
+
+def _decaying_tridiagonal(rng, n, zeros):
+    """A random complex tridiagonal matrix whose couplings are 2^-10 to
+    2^-40 of its diagonal, so that the running product of each factor's
+    multipliers falls by about 2^-25 a row, with a fraction `zeros` of its
+    couplings set to zero."""
+    lower, upper = 2.0 ** -rng.uniform(10, 40, (2, n - 1)) * np.exp(2j * np.pi * rng.random((2, n - 1)))
+    lower[rng.random(n - 1) < zeros] = 0
+    upper[rng.random(n - 1) < zeros] = 0
+    return (1.0 + rng.random(n)) * np.exp(2j * np.pi * rng.random(n)), lower, upper
+
+
+def _assert_solves_like_dense(diag, lower, upper, rng):
+    rhs = rng.standard_normal(diag.size) + 1j * rng.standard_normal(diag.size)
+    x, backward_error = _solve_and_backward_error(diag, lower, upper, rhs)
+    assert backward_error <= 1e-14
+    dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+    assert_allclose(x, np.linalg.solve(dense, rhs), rtol=0, atol=1e-12 * np.max(np.abs(x)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(100, 300), seed=st.integers(0, 2**32 - 1))
+def test_tridiagonal_solve_carries_across_restarted_products(n, seed):
+    # 2500 to 7500 bits of decay: each factor restarts its product 4 to 12
+    # times, and each restart carries x_(start-1) in
+    rng = np.random.default_rng(seed)
+    diag, lower, upper = _decaying_tridiagonal(rng, n, zeros=0.0)
+    forward, _, backward = eigen._tridiagonal_lu(diag, lower, upper)
+    assert min(len(forward[2]), len(backward[2])) >= 4
+    _assert_solves_like_dense(diag, lower, upper, rng)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.sampled_from([0.05, 0.3, 0.7, 1.0]),
+)
+def test_tridiagonal_solve_restarts_at_zero_couplings(n, seed, zeros):
+    # a zero coupling restarts the recurrence with no carry, inside a
+    # segment of the running product or at its start
+    rng = np.random.default_rng(seed)
+    _assert_solves_like_dense(*_decaying_tridiagonal(rng, n, zeros), rng)
+
+
+def test_diagonal_matrix_factors_without_a_restart_per_row():
+    # every coupling is zero: each row of both factors restarts its
+    # recurrence, but the running product restarts only every RESTART_BITS
+    # rows, where its factors of 1/2 reach 2^-RESTART_BITS, and never carries
+    n = 8000
+    diag = np.arange(1.0, n + 1.0) + 0.5j
+    zero = np.zeros(n - 1, dtype=complex)
+    forward, inverse, backward = eigen._tridiagonal_lu(diag, zero, zero)
+    for _, _, segments in (forward, backward):
+        assert len(segments) == n // eigen.RESTART_BITS + 1
+        assert not any(carry for _, _, carry, _, _ in segments)
+    rhs = np.random.default_rng(8000).standard_normal(n) + 0j
+    x = eigen._tridiagonal_solve((forward, inverse, backward), rhs)
+    assert_allclose(x, rhs / diag, rtol=0, atol=4e-16 * np.max(np.abs(rhs / diag)))
+
+
+def test_factorization_memory_does_not_grow_with_log_n():
+    # recursive doubling kept ceil(log2 N) = 17 coefficient arrays per
+    # factor at N = 128000, 77 MB in all; the prefix products keep two each
+    n = 128000
+    rng = np.random.default_rng(n)
+    diag, lower, upper = _dominant_tridiagonal(rng, n)
+    tracemalloc.start()
+    try:
+        eigen._tridiagonal_lu(diag, lower, upper)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * diag.nbytes  # 32.8 MB
