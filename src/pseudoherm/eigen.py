@@ -29,10 +29,10 @@ eig is the one solver entry point, with two paths:
 Post-processing reports a defective level that discretization split in
 two as one level at its group mean, separates grid-localized bound states
 from discretized continuum, matches computed levels against analytic ones
-(catalog_states picks the states a catalog spectrum compares), and
-measures how well a closed-form eigenfunction satisfies the discrete
-eigenvalue equation.  Every report comes from one constructor, _report,
-which sorts it by (re, im) and sets its reality flags.
+(catalog_states picks the states a catalog spectrum compares), and applies
+build_hamiltonian's H to a closed-form eigenfunction.  Every report comes
+from one constructor, _report, which sorts it by (re, im), sets its reality
+flags and takes its residuals from operators.eigenpair_residuals.
 """
 
 import functools
@@ -40,8 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .generator import effective_potential
-from .operators import DiscreteOperator, _frobenius, _matrix, _operator
+from .operators import apply, as_operator, build_hamiltonian, eigenpair_residuals, tridiagonal
 
 TAU_REAL = 1e-5
 # Two eigenvalues at most SPLIT_WINDOW apart whose unit right eigenvectors
@@ -144,26 +143,21 @@ def eig(op, below=None):
     below it, their number certified by the argument principle."""
     if below is not None and not np.isfinite(below):
         raise ValueError("the window's below must be finite, got %r" % below)
-    bands = _operator(op).bands
-    if not all(np.all(np.isfinite(band)) for band in bands.values()):
+    op = as_operator(op)
+    if not all(np.all(np.isfinite(band)) for band in op.bands.values()):
         raise EigenSolverError("matrix contains non-finite entries")
     if below is not None:
-        return _eig_window(bands, float(below))
-    matrix = np.asarray(_matrix(op), dtype=complex)
+        return _eig_window(op, float(below))
     try:
-        values, vectors = np.linalg.eig(matrix)
+        values, vectors = np.linalg.eig(op.matrix)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError("QR iteration did not converge: %s" % exc) from exc
-    return _report(values, vectors, functools.partial(_band_residuals, bands))
+    return _report(values, vectors, functools.partial(eigenpair_residuals, op))
 
 
-def _eig_window(bands, below):
-    if not set(bands) <= {-1, 0, 1}:
-        raise ValueError("a window solve needs a tridiagonal operator, got"
-                         " diagonals %s" % sorted(bands))
-    diag = bands[0]
+def _eig_window(op, below):
+    diag, lower, upper = tridiagonal(op)
     n = diag.size
-    lower, upper = (bands.get(k, np.zeros(n - 1, dtype=complex)) for k in (-1, 1))
     box = window_box(diag, lower, upper, below)
     count, points, sigma = (0, 0, None) if box is None else window_count(diag, lower * upper, box)
     values, vectors, m = np.zeros(0, dtype=complex), np.zeros((n, 0), dtype=complex), 0
@@ -179,7 +173,7 @@ def _eig_window(bands, below):
                 "%d converged Ritz values below %g, but the argument principle"
                 " counts %d eigenvalues there; Arnoldi stopped at Krylov dimension %d,"
                 " the cap min(N, %d)" % (np.count_nonzero(keep), below, count, m, KRYLOV_CAP))
-    return _report(values, vectors, functools.partial(_band_residuals, bands),
+    return _report(values, vectors, functools.partial(eigenpair_residuals, op),
                    below=below, certified_count=count, sigma=sigma,
                    krylov_dimension=m, contour_points=points)
 
@@ -474,23 +468,6 @@ def _orthogonalize(basis, w):
     return total
 
 
-def _band_residuals(bands, values, vectors):
-    """||M v - lambda v||_2 / (||M||_F ||v||_2) per column, from the bands;
-    0, not 0/0, for M = 0, as in operators.hermiticity_residual."""
-    frobenius = _frobenius(bands)
-    if frobenius == 0.0:
-        return np.zeros(values.size)
-    n = vectors.shape[0]
-    if len(bands) ** 2 > n:  # many diagonals: one dense product, as in operators._product
-        applied = DiscreteOperator(bands).matrix @ vectors
-    else:
-        applied = np.zeros_like(vectors)
-        for k, band in bands.items():
-            applied[max(-k, 0):n - max(k, 0)] += band[:, None] * vectors[max(k, 0):n - max(-k, 0)]
-    defect = np.linalg.norm(applied - vectors * values, axis=0)
-    return defect / (frobenius * np.linalg.norm(vectors, axis=0))
-
-
 def merge_split_levels(report):
     """One entry per defective level that the discrete problem splits.
 
@@ -597,12 +574,12 @@ def catalog_states(report, grid, entry, tol_level):
 
 
 def eigenfunction_residual(model, grid, psi, energy):
-    """||H psi - E psi||_2 / ||psi||_2 with the difference stencil applied
-    directly to psi sampled on the closed interval [a, b].
+    """||H psi - E psi||_2 / ||psi||_2 with build_hamiltonian's H applied to
+    psi sampled on the closed interval [a, b].
 
-    Sampling the two boundary points from the callable keeps the stencil
-    consistent in the outermost rows, where the Dirichlet matrix would
-    otherwise inject the truncation error of psi(a), psi(b) at 1/h^2.
+    H's outermost rows read psi(a) = psi(b) = 0; their stencil reads the
+    two boundary samples of the callable instead, so that the Dirichlet
+    matrix does not inject the truncation error of psi(a), psi(b) at 1/h^2.
     A psi that raises TypeError on an array, or returns another shape for
     it, is sampled point by point.
     """
@@ -619,8 +596,8 @@ def eigenfunction_residual(model, grid, psi, energy):
         raise ZeroEigenfunctionError(
             "eigenfunction is numerically zero on the grid (norm %.3g)" % norm
         )
-    second = (-samples[:-2] + 2.0 * inner - samples[2:]) / grid.h**2
-    applied = second + effective_potential(model, grid.points) * inner
+    applied = apply(build_hamiltonian(model, grid), inner[:, None])[:, 0]
+    applied[[0, -1]] -= samples[[0, -1]] / grid.h**2
     return float(np.linalg.norm(applied - energy * inner) / norm)
 
 

@@ -1,27 +1,33 @@
 """Banded discretizations of H and the metric operator on a truncated line.
 
 The infinite line is replaced by [a, b] with Dirichlet ends and N interior
-points.  H = -D2 + diag(V + iW) with the 3-point second difference D2.
-The metric operator -d^2/dx^2 - 2iG d/dx + Q + G^2 - iG' is discretized in
-the symmetrized form -D2 - i(Gh D1 + D1 Gh) + diag(Q + G^2), with D1 the
-antisymmetric central first difference and Gh = diag(G).  The symmetrized
-form reproduces the G' term through the operator identity
-G d/dx + d/dx G = 2G d/dx + G' and is Hermitian exactly, at any spacing.
+points.  H = -D2 + diag(V + iW) with the 3-point second difference D2;
+build_hamiltonian is that stencil's one source, also for the residual of a
+sampled eigenfunction.  The metric operator -d^2/dx^2 - 2iG d/dx + Q +
+G^2 - iG' is discretized in the symmetrized form -D2 - i(Gh D1 + D1 Gh) +
+diag(Q + G^2), with D1 the antisymmetric central first difference and
+Gh = diag(G).  The symmetrized form reproduces the G' term through the
+operator identity G d/dx + d/dx G = 2G d/dx + G' and is Hermitian exactly,
+at any spacing.
 
-Both are three-point stencils, so each operator is stored as its diagonals.
-Products, adjoints and the Frobenius-norm residuals work on the diagonals in
-O(N); a dense N x N matrix is assembled only on request, for the full-spectrum
-eigensolver and CSV export, and for products of operands that store many
-diagonals (a full matrix read from CSV).
+Both are three-point stencils, so each operator is stored as its diagonals,
+and this module is the one that reads them: products, adjoints, products
+with vectors, Frobenius norms and every residual work on the diagonals in
+O(N).  A dense N x N matrix is assembled only on request, for the
+full-spectrum eigensolver and CSV export, and for products of operands
+that store many diagonals (a full matrix read from CSV).
 
-The intertwining eta H = H^dag eta is, for a Hermitian eta, the statement
-that P = eta H is Hermitian, so verify_residuals reads all three verify
-residuals from the one product P: for any eta,
-eta H - H^dag eta = (P - P^dag) - H^dag (eta - eta^dag), and the second
-term is formed only when eta is not Hermitian.
+verify_residuals forms the intertwining defect eta H - H^dag eta in its
+defining form.  For a Hermitian eta, H^dag eta is P^dag with P = eta H, so
+the defect is P - P^dag and one product P gives all three verify
+residuals; any other eta takes the second product H^dag eta.  Every
+residual is a ratio of degree 0 in each operand, so an operand whose norm
+would underflow or overflow in the sums of squares is first rescaled by a
+power of two.
 """
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -144,14 +150,19 @@ def build_eta(model, grid):
     return DiscreteOperator({-1: lower, 0: diag, 1: upper}, grid, "eta")
 
 
-def _operator(op):
+def as_operator(op):
+    """op itself, or the operator of the diagonals of a plain matrix."""
     return op if isinstance(op, DiscreteOperator) else DiscreteOperator.from_matrix(op)
 
 
-def _matrix(op):
-    """Dense array of an operator or a plain matrix, for the dense edges:
-    the full-spectrum eigensolver and CSV export."""
-    return op.matrix if isinstance(op, DiscreteOperator) else np.asarray(op)
+def tridiagonal(op):
+    """(diag, lower, upper) of a tridiagonal operator, an absent off-diagonal
+    as zeros; ValueError for an operator with any other diagonal."""
+    bands = op.bands
+    if not set(bands) <= {-1, 0, 1}:
+        raise ValueError("a window solve needs a tridiagonal operator, got"
+                         " diagonals %s" % sorted(bands))
+    return (bands[0], *(bands.get(k, np.zeros(op.n - 1, dtype=complex)) for k in (-1, 1)))
 
 
 def _adjoint(bands):
@@ -159,17 +170,21 @@ def _adjoint(bands):
     return {-k: band.conj() for k, band in bands.items()}
 
 
+def _dense(left, right):
+    """Whether L R is formed as one dense product.  The band loops make one
+    numpy call per pair of stored diagonals, so operands with more pairs
+    than rows (a full n x n matrix has about 4n^2) are multiplied densely."""
+    return len(left) * len(right) > left[0].size
+
+
 def _product(left, right):
     """Bands of L R: band p of L times band q of R lands on offset p + q.
 
     (L R)[i, i+p+q] gets L[i, i+p] R[i+p, i+p+q] over the rows i where all
-    three column indices i, i+p and i+p+q lie in [0, n).  The loop makes
-    one numpy call per pair of stored diagonals, so operands with more
-    pairs than rows (a full n x n matrix has about 4n^2) are multiplied as
-    one dense product instead.
+    three column indices i, i+p and i+p+q lie in [0, n).
     """
     n = left[0].size
-    if len(left) * len(right) > n:
+    if _dense(left, right):
         dense = DiscreteOperator(left).matrix @ DiscreteOperator(right).matrix
         return DiscreteOperator.from_matrix(dense).bands
     out = {0: np.zeros(n, dtype=complex)}
@@ -186,18 +201,52 @@ def _product(left, right):
     return out
 
 
+def apply(op, vectors):
+    """M @ vectors for the columns of a 2-D array, from the bands, or as one
+    dense product for a matrix with many diagonals (the rule of _product)."""
+    bands, n = op.bands, op.n
+    if _dense(bands, bands):
+        return op.matrix @ vectors
+    out = np.zeros_like(vectors, dtype=complex)
+    for k, band in bands.items():
+        out[max(-k, 0):n - max(k, 0)] += band[:, None] * vectors[max(k, 0):n - max(-k, 0)]
+    return out
+
+
 def _difference(left, right):
     return {k: left.get(k, 0.0) - right.get(k, 0.0) for k in left.keys() | right.keys()}
 
 
 def _frobenius(bands):
-    """Frobenius norm: the root of the summed squared band norms."""
-    return np.sqrt(sum(np.vdot(band, band).real for band in bands.values()))
+    """Frobenius norm: the root of the summed squared band norms, summed as
+    Python floats, which overflow to inf without a warning (see _normed)."""
+    return math.sqrt(sum(float(np.vdot(band, band).real) for band in bands.values()))
+
+
+def _ldexp(array, shift):
+    """A complex array times 2^shift, exact but where an entry underflows."""
+    return np.ldexp(np.ascontiguousarray(array, complex).view(float), shift).view(complex)
+
+
+def _normed(bands):
+    """(bands times 2^shift, their Frobenius norm, shift), with shift 0
+    unless the norm lies outside [2^-200, 2^200], where squared entries or
+    products of two operands could leave the float range; there the
+    largest entry is brought into [1/2, 1).  A zero or non-finite matrix is
+    left as it is."""
+    norm = _frobenius(bands)
+    if not 2.0**-200 <= norm <= 2.0**200:
+        peak = np.max([np.abs(band).max(initial=0.0) for band in bands.values()])
+        if 0.0 < peak < np.inf:
+            shift = -int(np.frexp(peak)[1])
+            bands = {k: _ldexp(band, shift) for k, band in bands.items()}
+            return bands, _frobenius(bands), shift
+    return bands, norm, 0
 
 
 def compose(left, right, label=""):
     """Product of two operators on the same grid."""
-    left, right = _operator(left), _operator(right)
+    left, right = as_operator(left), as_operator(right)
     _check_grids(left, right)
     return DiscreteOperator(_product(left.bands, right.bands), left.grid, label)
 
@@ -225,66 +274,59 @@ def _relative(norm, scale):
     return 0.0 if scale == 0.0 else float(norm / scale)
 
 
-def _defects(hamiltonian, eta):
-    """From one band product P = eta H: the bands of P and of eta - eta^dag,
-    ||P - P^dag||_F, and ||eta H - H^dag eta||_F by the identity
-
-        eta H - H^dag eta = (P - P^dag) - H^dag (eta - eta^dag),
-
-    so for a Hermitian eta the intertwining defect is the Hermiticity defect
-    of P.  The second term is formed, from the nonzero bands of
-    eta - eta^dag, only for an eta that is not Hermitian (build_eta's is
-    Hermitian exactly; a CSV matrix need not be).
-    """
-    product = _product(eta.bands, hamiltonian.bands)
-    product_skew, eta_skew = _skew(product), _skew(eta.bands)
-    defect = skew = _frobenius(product_skew)
-    # a complex band's float view is tested in half the time of the band
-    nonzero = {k: band for k, band in eta_skew.items() if band.view(band.real.dtype).any()}
-    if nonzero:
-        # the main band stays, since _product's dense path sizes an operand by it
-        nonzero.setdefault(0, eta_skew[0])
-        correction = _product(_adjoint(hamiltonian.bands), nonzero)
-        defect = _frobenius(_difference(product_skew, correction))
-    return product, eta_skew, skew, defect
-
-
 def verify_residuals(hamiltonian, eta):
     """(intertwining, eta_hermiticity, etaH_hermiticity) of one pair, the
-    residuals verify reports, all from one band product P = eta H (see
-    _defects).  With eta Hermitian the first and third share the numerator
-    ||P - P^dag||_F and differ in scale: ||eta||_F ||H||_F against ||P||_F.
+    residuals verify reports: ||eta H - H^dag eta||_F / (||eta||_F ||H||_F),
+    ||eta - eta^dag||_F / ||eta||_F and ||P - P^dag||_F / ||P||_F with
+    P = eta H, each 0 when its scale is.  For a Hermitian eta, H^dag eta =
+    P^dag, so the first and third share the numerator ||P - P^dag||_F and
+    the one product P serves all three; any other eta takes a second
+    product for H^dag eta.
     """
-    hamiltonian, eta = _operator(hamiltonian), _operator(eta)
+    hamiltonian, eta = as_operator(hamiltonian), as_operator(eta)
     _check_grids(hamiltonian, eta)
-    product, eta_skew, skew, defect = _defects(hamiltonian, eta)
-    eta_norm = _frobenius(eta.bands)
+    h_bands, h_norm, _ = _normed(hamiltonian.bands)
+    eta_bands, eta_norm, _ = _normed(eta.bands)
+    product = _product(eta_bands, h_bands)
+    eta_skew = _skew(eta_bands)
+    defect = skew = _frobenius(_skew(product))
+    # a complex band's float view is tested in half the time of the band
+    if any(band.view(band.real.dtype).any() for band in eta_skew.values()):
+        defect = _frobenius(_difference(product, _product(_adjoint(h_bands), eta_bands)))
     return (
-        _relative(defect, eta_norm * _frobenius(hamiltonian.bands)),
+        _relative(defect, eta_norm * h_norm),
         _relative(_frobenius(eta_skew), eta_norm),
         _relative(skew, _frobenius(product)),
     )
 
 
 def intertwining_residual(hamiltonian, eta):
-    """|| eta H - H^dag eta ||_F normalized by ||eta||_F ||H||_F (0 when
-    either is the zero matrix, since the defect is then 0 too), from one
-    band product by the identity of _defects."""
-    hamiltonian, eta = _operator(hamiltonian), _operator(eta)
-    _check_grids(hamiltonian, eta)
-    defect = _defects(hamiltonian, eta)[3]
-    return _relative(defect, _frobenius(eta.bands) * _frobenius(hamiltonian.bands))
+    """|| eta H - H^dag eta ||_F / (||eta||_F ||H||_F), the first of
+    verify_residuals."""
+    return verify_residuals(hamiltonian, eta)[0]
 
 
 def hermiticity_residual(op):
     """|| M - M^dag ||_F / ||M||_F (0 for the zero matrix)."""
-    bands = _operator(op).bands
-    return _relative(_frobenius(_skew(bands)), _frobenius(bands))
+    bands, norm, _ = _normed(as_operator(op).bands)
+    return _relative(_frobenius(_skew(bands)), norm)
+
+
+def eigenpair_residuals(op, values, vectors):
+    """||M v - lambda v||_2 / (||M||_F ||v||_2) per column v of vectors, with
+    M and the values rescaled together (see _normed); 0, not 0/0, for
+    M = 0."""
+    bands, norm, shift = _normed(op.bands)
+    if norm == 0.0:
+        return np.zeros(values.size)
+    applied = apply(DiscreteOperator(bands), vectors)
+    defect = np.linalg.norm(applied - vectors * _ldexp(values, shift), axis=0)
+    return defect / (norm * np.linalg.norm(vectors, axis=0))
 
 
 def matrix_to_csv(op, path):
     """Row-major re,im pairs: row i holds re(M[i,0]), im(M[i,0]), re(M[i,1]), ..."""
-    matrix = _matrix(op)
+    matrix = as_operator(op).matrix
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         for row in matrix:

@@ -534,6 +534,21 @@ def test_verify_zero_metric_reads_zero(capsys, tmp_path):
     }
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e160])
+def test_verify_reads_matrices_at_any_scale(capsys, tmp_path, scale):
+    # squares of entries of 1e-160 underflow and of 1e160 overflow; verify
+    # read 0, 0, 0 for the one and exited 3 on a nan for the other
+    rng = np.random.default_rng(6)
+    h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    matrix_to_csv(scale * h, tmp_path / "H.csv")
+    matrix_to_csv(scale * np.eye(6), tmp_path / "eta.csv")
+    code, report = run_json(capsys, "verify", "--H-csv", str(tmp_path / "H.csv"),
+                            "--eta-csv", str(tmp_path / "eta.csv"))
+    assert code == 0
+    assert list(report["residuals"].values()) == pytest.approx(
+        operators.verify_residuals(h, np.eye(6)), rel=1e-14, abs=0.0)
+
+
 def test_verify_external_needs_both_files(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--H-csv", str(tmp_path / "H.csv"))
     assert code == 2

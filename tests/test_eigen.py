@@ -1,9 +1,10 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -24,7 +25,7 @@ from pseudoherm.eigen import (
     window_count,
 )
 from pseudoherm.generator import derive
-from pseudoherm.operators import DiscreteOperator, Grid, build_hamiltonian
+from pseudoherm.operators import DiscreteOperator, Grid, build_hamiltonian, eigenpair_residuals
 
 TAU_SOLVER = 1e-8
 
@@ -106,8 +107,26 @@ def test_band_residuals_are_those_of_the_dense_product(matrix):
     vectors, values = report.eigenvectors, report.eigenvalues + 1e-3
     dense = np.linalg.norm(matrix @ vectors - vectors * values, axis=0) / (
         np.linalg.norm(matrix) * np.linalg.norm(vectors, axis=0))
-    banded = eigen._band_residuals(DiscreteOperator.from_matrix(matrix).bands, values, vectors)
+    banded = eigenpair_residuals(DiscreteOperator.from_matrix(matrix), values, vectors)
     assert_allclose(banded, dense, rtol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 30), st.sampled_from(["tridiagonal", "full"]),
+       st.integers(0, 2**32 - 1), st.integers(-600, 600))
+@example(6, "full", 0, -600)
+@example(6, "tridiagonal", 0, 600)
+def test_residuals_do_not_depend_on_the_matrix_scale(n, kind, seed, k):
+    # the residual is a ratio of degree 0 in M and lambda; at 2^-600 the
+    # squared entries underflow and at 2^600 they overflow, where every
+    # residual read 0 and nan
+    matrix = random_complex(np.random.default_rng(seed), n)
+    if kind == "tridiagonal":
+        matrix = np.triu(np.tril(matrix, 1), -1)
+    unscaled = eig(matrix).residuals.max()
+    residuals = eig(2.0**k * matrix).residuals
+    assert np.all(residuals > 0)
+    assert unscaled / 10 <= residuals.max() <= 10 * unscaled
 
 
 @pytest.mark.parametrize("below", [math.nan, math.inf, -math.inf])
@@ -312,6 +331,17 @@ def test_particle_in_box_ground_state_residual():
         model, grid, lambda x: np.sin(np.pi * x), np.pi**2
     )
     assert residual < 1e-3
+
+
+def test_eigenfunction_residual_is_that_of_the_hamiltonian():
+    # one stencil: a grid eigenvector of H, with psi(a) = psi(b) = 0 at the
+    # ends, leaves the residual of the eigenpair
+    entry = get("periodic", {})
+    model, grid = derive(entry.spec), dataclasses.replace(entry.grid, n=60)
+    report = eig(build_hamiltonian(model, grid))
+    for vector, value in zip(report.eigenvectors.T, report.eigenvalues):
+        psi = lambda x, v=vector: np.concatenate([[0.0], v, [0.0]])
+        assert eigenfunction_residual(model, grid, psi, value) <= 1e-10
 
 
 def test_scalar_only_eigenfunction_is_sampled_point_by_point():

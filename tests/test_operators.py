@@ -355,6 +355,26 @@ def test_verify_residuals_are_those_of_the_dense_products(pair):
     assert intertwining_residual(h_op, eta_op) == residuals[0]
 
 
+def scaled(op, factor):
+    if isinstance(op, DiscreteOperator):
+        return DiscreteOperator({k: factor * band for k, band in op.bands.items()})
+    return factor * op
+
+
+@settings(max_examples=100, deadline=None)
+@given(verify_pairs(), st.integers(-600, 600), st.integers(-600, 600))
+def test_residuals_do_not_depend_on_the_operands_scale(pair, j, k):
+    # every residual is a ratio of degree 0 in each operand; at 2^-600 the
+    # squared entries underflow and at 2^600 they overflow, where the
+    # residuals read 0 and nan
+    h_op, eta_op = pair[:2]
+    s, t = 2.0**j, 2.0**k
+    residuals = verify_residuals(scaled(h_op, s), scaled(eta_op, t))
+    assert residuals == pytest.approx(verify_residuals(h_op, eta_op), rel=1e-15, abs=0.0)
+    assert hermiticity_residual(scaled(h_op, s)) == pytest.approx(
+        hermiticity_residual(h_op), rel=1e-15, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # CSV interchange
 
