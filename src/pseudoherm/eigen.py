@@ -14,17 +14,17 @@ eig is the one solver entry point, with two paths:
   16 points on each side; each pass takes the leading-minor recurrence
   D_j = (d_j - z) D_(j-1) - l_(j-1) u_(j-1) D_(j-2) of H - z (Wilkinson,
   The Algebraic Eigenvalue Problem, 1965) in blocks of rows, with
-  d/dz log det(H - z), which guards every segment and places every further
-  point.  The final contour's moment over the count is the mean of
-  the eigenvalues inside, and the shift sigma is next to it.  The LU of
-  H - sigma takes its pivots row by row, p_j = d_j - sigma -
-  l_(j-1) u_(j-1) / p_(j-1), and solves with each factor as one
-  cumulative sum: x_j = f_j + a_j x_(j-1) is x = P cumsum(f / P) with P the
-  running product of a, restarted before 1/P overflows.  Shift-invert
-  Arnoldi (ARPACK's design; Lehoucq, Sorensen & Yang, 1998) then finds the
-  eigenvalues until its converged Ritz values in the box number the
-  certified count; a mismatch at the largest Krylov dimension is
-  EigenSolverError.
+  d/dz log det(H - z).  One step of log det per segment feeds the count, the
+  moment and the guard, which halves a segment whose step and trapezoid of
+  d/dz log det differ by more than pi/2.  The final contour's moment over the
+  count is the mean of the eigenvalues inside, and the shift sigma is next to
+  it.  The LU of H - sigma takes its pivots row by row, p_j = d_j - sigma -
+  l_(j-1) u_(j-1) / p_(j-1), and solves with each factor as one cumulative
+  sum: x_j = f_j + a_j x_(j-1) is x = P cumsum(f / P) with P the running
+  product of a, restarted before 1/P overflows.  Shift-invert Arnoldi
+  (ARPACK's design; Lehoucq, Sorensen & Yang, 1998) then stops at the first
+  Ritz check whose converged values in the box number the certified count; a
+  mismatch at the largest Krylov dimension is EigenSolverError.
 
 Post-processing reports a defective level that discretization split in
 two as one level at its group mean, separates grid-localized bound states
@@ -157,22 +157,12 @@ def eig(op, below=None):
 
 def _eig_window(op, below):
     diag, lower, upper = tridiagonal(op)
-    n = diag.size
     box = window_box(diag, lower, upper, below)
     count, points, sigma = (0, 0, None) if box is None else window_count(diag, lower * upper, box)
-    values, vectors, m = np.zeros(0, dtype=complex), np.zeros((n, 0), dtype=complex), 0
+    m, values, vectors = 0, np.zeros(0, dtype=complex), np.zeros((diag.size, 0), dtype=complex)
     if count:
         factors = _tridiagonal_lu(diag - sigma, lower, upper)
-        for m, values, vectors in _shift_invert_ritz(factors, sigma):
-            keep = _inside(box, values)
-            if np.count_nonzero(keep) == count:
-                values, vectors = values[keep], vectors[:, keep]
-                break
-        else:
-            raise EigenSolverError(
-                "%d converged Ritz values below %g, but the argument principle"
-                " counts %d eigenvalues there; Arnoldi stopped at Krylov dimension %d,"
-                " the cap min(N, %d)" % (np.count_nonzero(keep), below, count, m, KRYLOV_CAP))
+        m, values, vectors = _shift_invert_ritz(factors, sigma, box, count, below)
     return _report(values, vectors, functools.partial(eigenpair_residuals, op),
                    below=below, certified_count=count, sigma=sigma,
                    krylov_dimension=m, contour_points=points)
@@ -279,14 +269,16 @@ def window_count(diag, couplings, box):
 
     The edge starts as SIDE_POINTS equally spaced points on each side, and
     every pass runs _blocked_phase; the guard alone places the rest, however
-    long a side is next to the others.  A segment is halved while
-    the phase turn sampled at its ends, read in (-pi, pi], and the trapezoid
-    value of the integral of Im(f'/f dz) differ by more than pi/2, or while
-    |f'/f dz| at either end exceeds pi, as next to a double root, whose two
-    ends cancel in the trapezoid (Ying & Katz, Numer. Math. 53, 1988).
-    sigma is the mean s_1 / count by the final contour's moment s_1 =
-    (1/2 pi i) sum z_mid (d log|det(M - z)| + i turn), moved by SHIFT_OFFSET,
-    clamped into the box; where not finite, the box centre."""
+    long a side is next to the others.  Each pass forms one step per segment,
+    d log|det(M - z)| + i turn with the phase turn sampled at its ends read
+    in (-pi, pi], for the guard, the count and the moment.  A segment is
+    halved while its step and the trapezoid rule's integral of f'/f dz differ
+    by more than pi/2 in modulus (an eigenvalue next to the edge can move
+    log|det| alone), or while |f'/f dz| at either end exceeds pi, as next to
+    a double root, whose two ends cancel in the trapezoid (Ying & Katz,
+    Numer. Math. 53, 1988).  sigma is the mean s_1 / count by the moment s_1 =
+    (1/2 pi i) sum z_mid step, moved by SHIFT_OFFSET, clamped into the box;
+    where not finite, the box centre."""
     re_lo, re_hi, im_lo, im_hi = box
     corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
                complex(re_hi, im_hi), complex(re_lo, im_hi)]
@@ -297,9 +289,9 @@ def window_count(diag, couplings, box):
     samples = np.array([z, *_blocked_phase(diag, couplings, z)])
     while True:
         z, phase, log_det, slope = samples
-        turns = np.angle(phase[1:] * phase[:-1].conj())
+        step = np.diff(log_det.real) + 1j * np.angle(phase[1:] * phase[:-1].conj())
         left, right = slope[:-1] * np.diff(z), slope[1:] * np.diff(z)  # f'/f dz at each end
-        coarse = np.flatnonzero((np.abs(0.5 * (left + right).imag - turns) > np.pi / 2)
+        coarse = np.flatnonzero((np.abs(0.5 * (left + right) - step) > np.pi / 2)
                                 | (np.maximum(np.abs(left), np.abs(right)) > np.pi))
         if coarse.size == 0:
             break
@@ -308,8 +300,8 @@ def window_count(diag, couplings, box):
         middle = 0.5 * (z[coarse] + z[coarse + 1])
         samples = np.insert(samples, coarse + 1, [middle, *_blocked_phase(diag, couplings, middle)],
                             axis=1)
-    count = int(round(np.sum(turns) / (2.0 * np.pi)))
-    moment = np.sum(0.5 * (z[1:] + z[:-1]) * (np.diff(log_det.real) + 1j * turns)) / (2j * np.pi)
+    count = int(round(np.sum(step.imag) / (2.0 * np.pi)))
+    moment = np.sum(0.5 * (z[1:] + z[:-1]) * step) / (2j * np.pi)
     sigma = moment / max(count, 1) + SHIFT_OFFSET * max(re_hi - re_lo, im_hi - im_lo)
     sigma = sigma if np.isfinite(sigma) else complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
     sigma = complex(np.clip(sigma.real, re_lo, re_hi), np.clip(sigma.imag, im_lo, im_hi))
@@ -405,19 +397,20 @@ def _tridiagonal_solve(factors, rhs):
     return _scan(backward, (_scan(forward, rhs) * inverse)[::-1])[::-1]
 
 
-def _shift_invert_ritz(factors, sigma):
-    """Ritz pairs of (M - sigma)^-1, M - sigma = LU by factors, from Arnoldi
-    with full (twice repeated Gram-Schmidt) reorthogonalization and a
-    fixed-seed start vector.  A step that closes an invariant subspace (see
+def _shift_invert_ritz(factors, sigma, box, count, below):
+    """(m, values, vectors): the count eigenvalues inside the box, unit Ritz
+    vectors as columns, from Arnoldi on (M - sigma)^-1, M - sigma = LU by
+    factors, with full (twice repeated Gram-Schmidt) reorthogonalization and
+    a fixed-seed start vector.  A step that closes an invariant subspace (see
     INVARIANT) sets h_(k+1,k) = 0 and goes on from a fresh vector of the same
     generator, orthogonalized twice.
 
-    Yields the Krylov dimension m with the converged pairs there
-    (eigenvalues sigma + 1/theta, unit Ritz vectors as columns), at
-    m = KRYLOV_START and then m + max(KRYLOV_START, m // 2) (8, 16, 24, 36,
-    54, ...) up to min(n, KRYLOV_CAP); each extends the previous basis,
-    whose rows and (m + 1) x m Hessenberg matrix grow by one copy into new
-    zeros (_grown)."""
+    Ritz values are checked at m = 8, 16, 24, 36, 54, ... (KRYLOV_START, then
+    m + max(KRYLOV_START, m // 2)) up to min(n, KRYLOV_CAP), each check
+    growing the basis and Hessenberg matrix by one copy (_grown).  Arnoldi
+    stops at the first check whose converged values sigma + 1/theta in the
+    box number count, and forms their Ritz vectors only there; another
+    number at the cap is EigenSolverError, naming `below`."""
     n = factors[1].size
     rng = np.random.default_rng(KRYLOV_SEED)
     start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -442,9 +435,15 @@ def _shift_invert_ritz(factors, sigma):
                 basis[k + 1] = w / np.linalg.norm(w)
         theta, ritz = np.linalg.eig(hessenberg[:m])
         converged = np.abs(hessenberg[m, m - 1] * ritz[m - 1]) <= TAU_RITZ * np.abs(theta)
-        yield m, sigma + 1.0 / theta[converged], basis[:m].T @ ritz[:, converged]
+        values = sigma + 1.0 / theta[converged]
+        keep = _inside(box, values)
+        if np.count_nonzero(keep) == count:
+            return m, values[keep], (basis[:m].T @ ritz[:, converged])[:, keep]
         if m >= limit:
-            return
+            raise EigenSolverError(
+                "%d converged Ritz values below %g, but the argument principle"
+                " counts %d eigenvalues there; Arnoldi stopped at Krylov dimension %d,"
+                " the cap min(N, %d)" % (np.count_nonzero(keep), below, count, m, KRYLOV_CAP))
         k, m = m, min(m + max(KRYLOV_START, m // 2), limit)
         basis = _grown(basis, (m + 1, n))
         hessenberg = _grown(hessenberg, (m + 1, m))

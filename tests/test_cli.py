@@ -639,13 +639,14 @@ def test_spectrum_reports_how_the_window_was_solved(capsys):
 
 
 def test_spectrum_that_loses_a_value_exits_4(capsys, monkeypatch):
-    original = eigen._shift_invert_ritz
+    original = eigen._inside
 
-    def lossy(*args):
-        for m, values, vectors in original(*args):
-            yield m, values[1:], vectors[:, 1:]
+    def lossy(box, values):
+        keep = original(box, values)
+        keep[np.flatnonzero(keep)[:1]] = False
+        return keep
 
-    monkeypatch.setattr(eigen, "_shift_invert_ritz", lossy)
+    monkeypatch.setattr(eigen, "_inside", lossy)
     code, out, err = run(
         capsys, "spectrum", "--model", "scarf2", "--param", "A=4", "--N", "200"
     )

@@ -526,6 +526,11 @@ def test_window_count_refines_the_catalog_contours_from_16_points_a_side(n, poin
         assert window_count(diag, lower * upper, box)[:2] == (count, want)
 
 
+# the Krylov dimension each catalog window stops at, N = 1000
+KRYLOV_DIMENSIONS = {("scarf2", 3.0): 16, ("scarf2", 4.0): 24, ("scarf2", 5.0): 36,
+                     ("periodic",): 24, ("morse", 1.0): 8, ("morse", 2.0): 36}
+
+
 @pytest.mark.parametrize("name, env", [case for case in CATALOG_BOXES if case[1] != {"xi": 0.5}],
                          ids=lambda v: str(v))
 def test_shift_sits_at_the_mean_of_the_certified_eigenvalues(name, env):
@@ -536,6 +541,7 @@ def test_shift_sits_at_the_mean_of_the_certified_eigenvalues(name, env):
     side = max(re_hi - re_lo, im_hi - im_lo)
     assert abs(report.sigma - np.mean(report.eigenvalues)) <= 1e-2 * side
     assert re_lo <= report.sigma.real <= re_hi and im_lo <= report.sigma.imag <= im_hi
+    assert report.krylov_dimension == KRYLOV_DIMENSIONS[(name, *env.values())]
 
 
 @pytest.mark.filterwarnings("ignore:.*underresolves:UserWarning")
@@ -622,6 +628,20 @@ def test_window_count_equals_the_dense_count_on_long_thin_boxes(n, seed, k, plac
     box = window_box(diag, lower, upper, below)
     count = 0 if box is None else window_count(diag, lower * upper, box)[0]
     assert count == np.count_nonzero(dense.real < below)
+
+
+def test_window_count_of_a_tall_box_with_eigenvalues_next_to_its_right_edge():
+    # the long-thin-box draw seed 0, n = 23, place 0.75 with Im d stretched
+    # 10^3 times instead: an eigenvalue next to the edge moves log|det|
+    # across a segment whose sampled turn it leaves unchanged, so only the
+    # real part of the step tells the trapezoid's guard to halve it
+    rng = np.random.default_rng(0)
+    diag, lower, upper = _tridiagonal(rng, 23)
+    diag = diag.real + 1j * 10.0**3 * diag.imag
+    dense = np.linalg.eigvals(np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1))
+    below = dense.real.min() + 0.75 * np.ptp(dense.real)
+    box = window_box(diag, lower, upper, below)
+    assert window_count(diag, lower * upper, box)[0] == np.count_nonzero(dense.real < below) == 18
 
 
 @settings(max_examples=100, deadline=None)
@@ -744,24 +764,29 @@ def test_window_solve_is_repeatable():
 
 
 def test_window_solve_that_loses_a_value_is_a_solver_error(monkeypatch):
-    original = eigen._shift_invert_ritz
+    original = eigen._inside
 
-    def lossy(*args):  # a Krylov step that drops one converged pair
-        for m, values, vectors in original(*args):
-            yield m, values[1:], vectors[:, 1:]
+    def lossy(box, values):  # a Ritz check that drops one converged value in the box
+        keep = original(box, values)
+        keep[np.flatnonzero(keep)[:1]] = False
+        return keep
 
-    monkeypatch.setattr(eigen, "_shift_invert_ritz", lossy)
+    monkeypatch.setattr(eigen, "_inside", lossy)
     _, _, hamiltonian = _catalog_hamiltonian("scarf2", {"A": 4.0}, n=200)
     with pytest.raises(EigenSolverError, match="argument principle counts 3"):
         eig(hamiltonian, below=0.0)
 
 
 def test_window_solve_that_reaches_the_krylov_cap_names_it(monkeypatch):
+    # a window past the spectrum ends its box at 31.45, just past the
+    # Gershgorin bound 30; the message names the window's below, not that edge
     monkeypatch.setattr(eigen, "KRYLOV_CAP", 8)
-    with pytest.raises(EigenSolverError, match=(
-            r"^\d+ converged Ritz values below 20.5, but the argument principle counts 20"
-            r" eigenvalues there; Arnoldi stopped at Krylov dimension 8, the cap min\(N, 8\)$")):
-        eig(np.diag(np.arange(1.0, 31.0)), below=20.5)
+    for below, shown, count in ((20.5, "20.5", 20), (1e6, r"1e\+06", 30)):
+        with pytest.raises(EigenSolverError, match=(
+                r"^\d+ converged Ritz values below %s, but the argument principle counts %d"
+                r" eigenvalues there; Arnoldi stopped at Krylov dimension 8, the cap min\(N, 8\)$"
+                % (shown, count))):
+            eig(np.diag(np.arange(1.0, 31.0)), below=below)
 
 
 def test_vanishing_pivot_is_a_solver_error():
