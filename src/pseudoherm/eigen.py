@@ -28,11 +28,11 @@ eig is the one solver entry point, with two paths:
 
 Post-processing reports a defective level that discretization split in
 two as one level at its group mean, separates grid-localized bound states
-from discretized continuum, matches computed levels against analytic ones
-(catalog_states picks the states a catalog spectrum compares), and applies
-build_hamiltonian's H to a closed-form eigenfunction.  Every report comes
-from one constructor, _report, which sorts it by (re, im), sets its reality
-flags and takes its residuals from operators.eigenpair_residuals.
+from discretized continuum and matches computed levels against analytic
+ones (catalog_states picks the states a catalog spectrum compares).  Every
+report comes from one constructor, _report, which sorts it by (re, im), sets
+its reality flags and takes its residuals from operators.eigenpair_residuals;
+merge_split_levels alone selects a subset of its rows, by a mask.
 """
 
 import functools
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import apply, as_operator, build_hamiltonian, eigenpair_residuals, tridiagonal
+from .operators import as_operator, eigenpair_residuals, tridiagonal
 
 TAU_REAL = 1e-5
 # Two eigenvalues at most SPLIT_WINDOW apart whose unit right eigenvectors
@@ -79,10 +79,6 @@ RESTART_BITS = 600
 class EigenSolverError(RuntimeError):
     """The eigensolver failed: QR did not converge, a pivot vanished, or the
     eigenvalues found disagree with the certified count."""
-
-
-class ZeroEigenfunctionError(ValueError):
-    """A supplied eigenfunction is numerically zero on the grid."""
 
 
 @dataclass(frozen=True)
@@ -467,8 +463,9 @@ def _orthogonalize(basis, w):
     return total
 
 
-def merge_split_levels(report):
-    """One entry per defective level that the discrete problem splits.
+def merge_split_levels(report, keep=slice(None)):
+    """The rows that the mask keep selects (all by default), with one entry
+    per defective level that the discrete problem splits.
 
     At an exceptional point a level has algebraic multiplicity 2 but a
     single eigenvector.  A perturbation of size e splits it into eigenvalues
@@ -479,16 +476,14 @@ def merge_split_levels(report):
     split 7.7e-3 on [-12, 12], 1.5e-3 on [-16, 16]).  Eigenvalues
     at most SPLIT_WINDOW apart whose unit right eigenvectors have
     1 - |<v, w>| <= TAU_PARALLEL form one group.  Eigenvectors are compared
-    only for such nearby pairs.  A group is reported at its mean, with the
-    largest residual of its members, the eigenvector of one member and its
-    size.
+    only for such nearby pairs, walked in the report's (re, im) order.  A
+    group is reported at its mean, with the largest residual of its members,
+    the eigenvector of one member and its size.
     """
-    values = report.eigenvalues
-    vectors = report.eigenvectors
+    values, vectors = report.eigenvalues[keep], report.eigenvectors[:, keep]
     group = np.arange(values.size)  # each group is labelled by one member
-    order = np.argsort(values.real, kind="stable")
-    for pos, i in enumerate(order):
-        for j in order[pos + 1:]:
+    for i in range(values.size):
+        for j in range(i + 1, values.size):
             if values[j].real - values[i].real > SPLIT_WINDOW:
                 break
             if abs(values[j] - values[i]) > SPLIT_WINDOW:
@@ -503,7 +498,7 @@ def merge_split_levels(report):
     for g in np.flatnonzero(sizes > 1):
         means[g] = np.mean(values[labels == g])
     residuals = np.zeros(heads.size)
-    np.maximum.at(residuals, labels, report.residuals)
+    np.maximum.at(residuals, labels, report.residuals[keep])
     return _report(means, vectors[:, heads], residuals, group_sizes=sizes,
                    matches=report.matches)
 
@@ -519,8 +514,7 @@ def bound_state_filter(report, grid, v_inf):
     inner = np.sum(mass[:, margin:grid.n - margin], axis=1)
     keep = (report.eigenvalues.real < v_inf) & (
         inner >= BOUND_MASS_FRACTION * np.sum(mass, axis=1))
-    return merge_split_levels(_report(
-        report.eigenvalues[keep], report.eigenvectors[:, keep], report.residuals[keep]))
+    return merge_split_levels(report, keep)
 
 
 def match_levels(report, analytic, tol):
@@ -566,38 +560,8 @@ def catalog_states(report, grid, entry, tol_level):
     if entry.continuum_threshold is not None:
         states = bound_state_filter(report, grid, entry.continuum_threshold)
     else:
-        keep = report.eigenvalues.real < entry.spectrum_window
-        states = merge_split_levels(_report(
-            report.eigenvalues[keep], report.eigenvectors[:, keep], report.residuals[keep]))
+        states = merge_split_levels(report, report.eigenvalues.real < entry.spectrum_window)
     return states, tuple(match_levels(states, entry.analytic_levels, tol_level))
-
-
-def eigenfunction_residual(model, grid, psi, energy):
-    """||H psi - E psi||_2 / ||psi||_2 with build_hamiltonian's H applied to
-    psi sampled on the closed interval [a, b].
-
-    H's outermost rows read psi(a) = psi(b) = 0; their stencil reads the
-    two boundary samples of the callable instead, so that the Dirichlet
-    matrix does not inject the truncation error of psi(a), psi(b) at 1/h^2.
-    A psi that raises TypeError on an array, or returns another shape for
-    it, is sampled point by point.
-    """
-    closed = grid.a + grid.h * np.arange(0, grid.n + 2)
-    try:
-        samples = np.asarray(psi(closed), dtype=complex)
-    except TypeError:  # a psi written for scalars, with the math module
-        samples = None
-    if samples is None or samples.shape != closed.shape:
-        samples = np.array([psi(t) for t in closed], dtype=complex)
-    inner = samples[1:-1]
-    norm = np.linalg.norm(inner)
-    if norm < 1e-12 * grid.n:
-        raise ZeroEigenfunctionError(
-            "eigenfunction is numerically zero on the grid (norm %.3g)" % norm
-        )
-    applied = apply(build_hamiltonian(model, grid), inner[:, None])[:, 0]
-    applied[[0, -1]] -= samples[[0, -1]] / grid.h**2
-    return float(np.linalg.norm(applied - energy * inner) / norm)
 
 
 def report_to_dict(report):

@@ -227,25 +227,26 @@ def evaluate(expr, x, env=None):
     first such x."""
     env = env or {}
     result = np.asarray(_eval(expr, x, env), dtype=float)
-    _refuse(~np.isfinite(result), "non-finite value", x)
+    refuse(~np.isfinite(result), "non-finite value", x)
     if np.ndim(x) == 0:
         return float(result)
     return np.broadcast_to(result, np.shape(x)).copy()
 
 
-def _first_offender(x, mask):
-    # a scalar mask comes from a subexpression that does not depend on x
+def first_offender(x, mask):
+    """The first x where mask holds; a scalar mask holds for every x or none."""
     xs, mask = np.broadcast_arrays(np.asarray(x, dtype=float), mask)
     return float(xs[mask][0])
 
 
-def _refuse(bad, what, x):
+def refuse(bad, what, x):
+    """EvaluationError naming `what` at the first x where bad holds."""
     if np.asarray(bad).any():
-        raise EvaluationError("%s at x = %g" % (what, _first_offender(x, bad)))
+        raise EvaluationError("%s at x = %g" % (what, first_offender(x, bad)))
 
 
 def _divisor(value, x):
-    _refuse(value == 0, "division by zero", x)
+    refuse(value == 0, "division by zero", x)
     return value
 
 
@@ -264,7 +265,7 @@ def _eval(expr, x, env):
     if isinstance(expr, Call):
         arg = _eval(expr.arg, x, env)
         if expr.fn == "sqrt":
-            _refuse(arg < 0, "square root of negative value", x)
+            refuse(arg < 0, "square root of negative value", x)
         return FUNCTIONS[expr.fn][0](arg)
     if isinstance(expr, BinOp):  # left is evaluated first
         return BINARY[expr.op][1](_eval(expr.left, x, env), _eval(expr.right, x, env), x)

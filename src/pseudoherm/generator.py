@@ -37,12 +37,12 @@ import numpy as np
 
 from .expressions import (
     EvaluationError,
-    _first_offender,
-    _refuse,
     differentiate,
     evaluate,
+    first_offender,
     free_parameters,
     parse,
+    refuse,
     to_source,
 )
 
@@ -160,7 +160,7 @@ def antiderivative(spec, x):
 def _numeric_antiderivative(spec, x):
     scalar = np.ndim(x) == 0
     xs = np.asarray(x, dtype=float).ravel()
-    _refuse(~np.isfinite(xs), "quadrature to a non-finite point", xs)
+    refuse(~np.isfinite(xs), "quadrature to a non-finite point", xs)
     order = np.argsort(xs)
     # the gaps between the sorted stops, 0 among them, are cut into equal panels
     zero = np.searchsorted(xs[order], 0.0)
@@ -275,7 +275,7 @@ class DerivedModel:
             if np.any(bad):
                 raise GZeroError(
                     "antiderivative of W vanishes at x = %g; V and Q diverge there"
-                    % _first_offender(x, bad)
+                    % first_offender(x, bad)
                 )
             half = w / (2.0 * i)
             q = wp / (2.0 * i) - half**2

@@ -2,13 +2,13 @@
 
 The infinite line is replaced by [a, b] with Dirichlet ends and N interior
 points.  H = -D2 + diag(V + iW) with the 3-point second difference D2;
-build_hamiltonian is that stencil's one source, also for the residual of a
-sampled eigenfunction.  The metric operator -d^2/dx^2 - 2iG d/dx + Q +
-G^2 - iG' is discretized in the symmetrized form -D2 - i(Gh D1 + D1 Gh) +
-diag(Q + G^2), with D1 the antisymmetric central first difference and
-Gh = diag(G).  The symmetrized form reproduces the G' term through the
-operator identity G d/dx + d/dx G = 2G d/dx + G' and is Hermitian exactly,
-at any spacing.
+build_hamiltonian is that stencil's one source, and eigenfunction_residual
+applies it to a sampled eigenfunction.  The metric operator -d^2/dx^2 -
+2iG d/dx + Q + G^2 - iG' is discretized in the symmetrized form -D2 -
+i(Gh D1 + D1 Gh) + diag(Q + G^2), with D1 the antisymmetric central first
+difference and Gh = diag(G).  The symmetrized form reproduces the G' term
+through the operator identity G d/dx + d/dx G = 2G d/dx + G' and is
+Hermitian exactly, at any spacing.
 
 Both are three-point stencils, so each operator is stored as its diagonals,
 and this module is the one that reads them: products, adjoints, products
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import _refuse
+from .expressions import refuse
 from .generator import SpecError, effective_potential
 
 STIFFNESS_WARN = 0.1
@@ -118,14 +118,26 @@ class DiscreteOperator:
         return out
 
 
+class ZeroEigenfunctionError(ValueError):
+    """A supplied eigenfunction is numerically zero on the grid."""
+
+
+def _step(grid):
+    """grid.h, refused where h^2 or the stencil weight 2/h^2 leaves the float range."""
+    h = grid.h
+    if not 0.0 < h * h < math.inf or math.isinf(2.0 / (h * h)):
+        raise SpecError("grid step h = %g puts 2/h^2 outside the float range" % h)
+    return h
+
+
 def build_hamiltonian(model, grid):
     """H = -D2 + diag(V + iW) on the grid's interior points.  A V + iW that
     overflows (V holds G^2, Q and alpha / I^2, which evaluate does not see)
     raises EvaluationError at the first such x."""
+    h = _step(grid)
     x = grid.points
-    h = grid.h
     veff = effective_potential(model, x)
-    _refuse(~np.isfinite(veff), "non-finite potential", x)
+    refuse(~np.isfinite(veff), "non-finite potential", x)
     stiffness = np.max(np.abs(veff)) * h * h
     if stiffness > STIFFNESS_WARN:
         warnings.warn(
@@ -140,14 +152,38 @@ def build_hamiltonian(model, grid):
 
 def build_eta(model, grid):
     """Symmetrized metric operator; Hermitian by construction."""
+    h = _step(grid)
     x = grid.points
-    h = grid.h
     g = model.G(x)
     diag = 2.0 / h**2 + model.Q(x) + g**2 + 0j
     mean_g = 0.5 * (g[:-1] + g[1:])
     upper = -1.0 / h**2 - 1j * mean_g / h
     lower = -1.0 / h**2 + 1j * mean_g / h
     return DiscreteOperator({-1: lower, 0: diag, 1: upper}, grid, "eta")
+
+
+def eigenfunction_residual(model, grid, psi, energy):
+    """||H psi - E psi||_2 / ||psi||_2 with build_hamiltonian's H applied to
+    psi sampled on the closed interval [a, b].
+
+    H's outermost rows read psi(a) = psi(b) = 0; their stencil reads the
+    two boundary samples of the callable instead, so that the Dirichlet
+    matrix does not inject the truncation error of psi(a), psi(b) at 1/h^2.
+    psi is called once, on the array of sample points, and must return one
+    value per point: any other shape is ValueError.
+    """
+    closed = grid.a + grid.h * np.arange(0, grid.n + 2)
+    samples = np.asarray(psi(closed), dtype=complex)
+    if samples.shape != closed.shape:
+        raise ValueError("psi returned shape %s for %d points" % (samples.shape, closed.size))
+    inner = samples[1:-1]
+    norm = np.linalg.norm(inner)
+    if norm < 1e-12 * grid.n:
+        raise ZeroEigenfunctionError("eigenfunction is numerically zero on the grid"
+                                     " (norm %.3g)" % norm)
+    applied = apply(build_hamiltonian(model, grid), inner[:, None])[:, 0]
+    applied[[0, -1]] -= samples[[0, -1]] / grid.h**2
+    return float(np.linalg.norm(applied - energy * inner) / norm)
 
 
 def as_operator(op):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from pseudoherm.catalog import get, morse_eigenfunction, periodic_eigenfunction
-from pseudoherm.eigen import catalog_states, eig, eigenfunction_residual
+from pseudoherm.eigen import catalog_states, eig
 from pseudoherm.expressions import evaluate
 from pseudoherm.generator import derive, effective_potential
 from pseudoherm.operators import (
@@ -26,6 +26,7 @@ from pseudoherm.operators import (
     build_eta,
     build_hamiltonian,
     compose,
+    eigenfunction_residual,
     hermiticity_residual,
     intertwining_residual,
 )

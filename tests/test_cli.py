@@ -1006,6 +1006,30 @@ def test_grid_whose_span_overflows_is_a_spec_error(capsys, argv):
     assert err == "specification error: grid span b - a of [-1e+308, 1e+308] overflows\n"
 
 
+TINY_STEP = ("--W=1", "--antideriv=x+1", "--a=-1e-170", "--b=1e-170", "--N", "10")
+HUGE_STEP = ("--W=1e-300", "--antideriv=1e-300*x", "--a", "1e154", "--b", "2e155", "--N", "3")
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+@pytest.mark.parametrize("grid, h", [
+    (TINY_STEP, "1.81818e-171"),
+    (HUGE_STEP, "4.75e+154"),
+    (TINY_STEP[:2] + ("--a=-1e-158", "--b=1e-158", "--N", "10"), "1.81818e-159"),
+], ids=["h2-underflows", "h2-overflows", "2/h2-overflows"])
+def test_step_whose_stencil_weight_leaves_the_float_range_is_a_spec_error(
+        capsys, command, grid, h):
+    code, out, err = run(capsys, command, *grid)
+    assert (code, out) == (2, "")
+    assert err == "specification error: grid step h = %s puts 2/h^2 outside the float range\n" % h
+
+
+@pytest.mark.parametrize("grid", [TINY_STEP, HUGE_STEP], ids=["tiny", "huge"])
+def test_derive_forms_no_stencil_and_keeps_such_a_step(capsys, grid):
+    code, report = run_json(capsys, "derive", *grid)
+    assert code == 0
+    assert all(np.isfinite(report["columns"]["x"]))
+
+
 @pytest.mark.parametrize("command", ["verify", "spectrum"])
 def test_grid_too_large_to_address_is_a_spec_error(capsys, command):
     # 16 bytes a point of 2^62 points passes numpy's signed size; the Grid

@@ -13,11 +13,9 @@ from pseudoherm.catalog import get
 from pseudoherm.eigen import (
     EigenSolverError,
     SpectrumReport,
-    ZeroEigenfunctionError,
     bound_state_filter,
     catalog_states,
     eig,
-    eigenfunction_residual,
     match_levels,
     merge_split_levels,
     report_to_dict,
@@ -25,7 +23,14 @@ from pseudoherm.eigen import (
     window_count,
 )
 from pseudoherm.generator import derive
-from pseudoherm.operators import DiscreteOperator, Grid, build_hamiltonian, eigenpair_residuals
+from pseudoherm.operators import (
+    DiscreteOperator,
+    Grid,
+    ZeroEigenfunctionError,
+    build_hamiltonian,
+    eigenfunction_residual,
+    eigenpair_residuals,
+)
 
 TAU_SOLVER = 1e-8
 
@@ -302,6 +307,71 @@ def test_split_jordan_block_is_one_level_at_its_mean():
     assert match.matched and abs(match.eigenvalue - 0.5) <= 1e-12
 
 
+def _merge_reference(values, vectors, residuals):
+    """merge_split_levels as loops: in order of real part, a pair at most
+    SPLIT_WINDOW apart whose unit eigenvectors have 1 - |<v, w>| <=
+    TAU_PARALLEL joins the groups of its two members; each group gives
+    (mean, size, largest residual)."""
+    order = sorted(range(values.size), key=lambda k: values[k].real)
+    label = list(range(values.size))
+    for pos, i in enumerate(order):
+        for j in order[pos + 1:]:
+            v, w = vectors[:, i], vectors[:, j]
+            cos = abs(np.vdot(v, w)) / (np.linalg.norm(v) * np.linalg.norm(w))
+            if abs(values[j] - values[i]) <= eigen.SPLIT_WINDOW and 1.0 - cos <= eigen.TAU_PARALLEL:
+                label = [label[i] if lb == label[j] else lb for lb in label]
+    members = {}
+    for k, lb in enumerate(label):
+        members.setdefault(lb, []).append(k)
+    return [(np.mean(values[m]), len(m), max(residuals[m])) for m in members.values()]
+
+
+def _rows(entries):
+    """(value, size, residual) rows in (re, im, size, residual) order."""
+    return sorted(entries, key=lambda r: (r[0].real, r[0].imag, r[1], r[2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(
+        st.integers(-10, 10).map(lambda k: k / 100.0),
+        st.sampled_from([0.0, 0.02, -0.03, 0.5]),
+        st.integers(-1, 9),  # -1 a fresh eigenvector, else one near an earlier row's
+        st.sampled_from([1e-6, 1e-1]),  # that copy's noise: parallel, or not
+        st.floats(0.0, 1.0),
+        st.booleans(),
+    ), max_size=10),
+    seed=st.integers(0, 2**16),
+)
+def test_merge_split_levels_matches_its_loop_reference(rows, seed):
+    # planted parallel pairs make groups of 2 and more; the mask selects the
+    # rows merged, and the report's (re, im) order is the one walked
+    rng = np.random.default_rng(seed)
+    columns = []
+    for _, _, source, noise, _, _ in rows:
+        fresh = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        columns.append(fresh if source < 0 or not columns
+                       else (0.5 - 1j) * columns[source % len(columns)] + noise * fresh)
+    values = np.array([re + 1j * im for re, im, *_ in rows], dtype=complex)
+    vectors = np.array(columns, dtype=complex).T.reshape(12, values.size)
+    residuals = np.array([r[4] for r in rows])
+    keep = np.array([r[5] for r in rows], dtype=bool)
+    order = np.lexsort((values.imag, values.real))
+    values, vectors, residuals, keep = values[order], vectors[:, order], residuals[order], keep[order]
+    report = SpectrumReport(
+        eigenvalues=values,
+        residuals=residuals,
+        reality_flags=values.imag == 0.0,
+        eigenvectors=vectors,
+    )
+    for mask, merged in ((keep, merge_split_levels(report, keep)),
+                         (slice(None), merge_split_levels(report))):
+        got = list(zip(merged.eigenvalues, merged.group_sizes.tolist(), merged.residuals))
+        assert _rows(got) == _rows(_merge_reference(values[mask], vectors[:, mask], residuals[mask]))
+        assert_array_equal(np.lexsort((merged.eigenvalues.imag, merged.eigenvalues.real)),
+                           np.arange(merged.eigenvalues.size))
+
+
 def test_close_levels_with_orthogonal_eigenvectors_stay_separate():
     report = eig(np.diag([1.0, 1.001]).astype(complex))
     merged = merge_split_levels(report)
@@ -344,26 +414,17 @@ def test_eigenfunction_residual_is_that_of_the_hamiltonian():
         assert eigenfunction_residual(model, grid, psi, value) <= 1e-10
 
 
-def test_scalar_only_eigenfunction_is_sampled_point_by_point():
-    # a psi written for one x at a time returns one value for an array, or
-    # raises TypeError on it (the math module)
+def test_scalar_only_eigenfunction_is_refused():
+    # psi is sampled once, on the array of the 52 closed-grid points; a psi
+    # written for one x at a time returns one value for it
     model = derive(get("morse", {"xi": 1e-8}).spec)
     grid = Grid(0.0, 1.0, 50)
-
-    def vectorized(x):
-        return np.sin(np.pi * x)
 
     def scalar_only(x):
         return np.sin(np.pi * np.ravel(x)[0])
 
-    def with_math(x):
-        return math.sin(math.pi * x)
-
-    expected = eigenfunction_residual(model, grid, vectorized, np.pi**2)
-    for psi in (scalar_only, with_math):
-        assert_allclose(
-            eigenfunction_residual(model, grid, psi, np.pi**2), expected, rtol=1e-12
-        )
+    with pytest.raises(ValueError, match=r"returned shape \(\) for 52 points$"):
+        eigenfunction_residual(model, grid, scalar_only, np.pi**2)
 
 
 def test_zero_eigenfunction_is_rejected():

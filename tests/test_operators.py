@@ -99,6 +99,18 @@ def test_overflowing_potential_is_refused_at_its_first_x():
             build_hamiltonian(model, Grid(0.0, 4.0, 3))
 
 
+@pytest.mark.parametrize("build", [build_hamiltonian, build_eta])
+@pytest.mark.parametrize("a, b, n", [(-1e-170, 1e-170, 10), (1e154, 2e155, 3),
+                                     (-1e-158, 1e-158, 10)])
+def test_step_outside_the_stencil_range_is_refused_by_both_builders(build, a, b, n):
+    # h^2 underflows to 0, overflows, or 2/h^2 overflows: refused before any
+    # sample or stiffness warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpecError, match=r"grid step h = .* puts 2/h\^2 outside the float range$"):
+            build(free_model(), Grid(a, b, n))
+
+
 # ---------------------------------------------------------------------------
 # metric operator assembly
 

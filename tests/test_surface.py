@@ -1,5 +1,5 @@
-"""The package's surface: every top-level name of a module has a user, and
-the lowest layer loads alone."""
+"""The package's surface: every top-level name of a module has a user, no
+module imports another's private name, and the lowest layer loads alone."""
 
 import ast
 import os
@@ -60,3 +60,16 @@ def test_expressions_imports_no_other_layer():
         capture_output=True, text=True, env=env, check=True,
     ).stdout
     assert out.split() == ["['pseudoherm.expressions']"]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = [
+        "%s: %s" % (path.stem, alias.name)
+        for path in sorted((SRC / "pseudoherm").glob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("pseudoherm"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
